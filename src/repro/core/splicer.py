@@ -21,18 +21,24 @@ Teardown follows §2.2 exactly:
 The pre-forked connections are real protocol flows against the backend's
 TCP socket: sequence numbers accumulate across successive spliced requests,
 which is what makes connection reuse visible in the tests.
+
+No process runs per connection: the distributor's network handlers drive
+each connection's state machine as plain method calls, in the order a
+per-connection process would have (DESIGN.md §16, process-free packet
+path).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from collections import deque
+from typing import Callable, Optional
 
 from ..net.http import HttpRequest, HttpVersion
 from ..net.packet import (ACK_FLAG, FIN_FLAG, PSH_FLAG, RST_FLAG, SYN_FLAG,
                           Address, Segment)
 from ..net.tcp import Network
-from ..sim import SimEvent, Simulator, Store
+from ..sim import SimEvent, Simulator
 from .mapping_table import MappingEntry, MappingState, MappingTable
 from .policies import Policy, RoutingView, WeightedLeastConnection
 from .url_table import UrlTable, UrlTableError
@@ -92,6 +98,23 @@ class PoolLeg:
         self.uses = 0
 
 
+class _ClientConn:
+    """The distributor's side of one client connection: segments not
+    yet handled and the leg checkout in progress."""
+
+    __slots__ = ("entry", "backlog", "idle", "leg", "request")
+
+    def __init__(self, entry: MappingEntry):
+        self.entry = entry
+        #: delivered segments not yet handled, oldest first
+        self.backlog: deque[Segment] = deque()
+        #: True while no step is running or scheduled for the connection
+        self.idle = True
+        #: the leg checked out for the first request, and that request
+        self.leg: Optional[PoolLeg] = None
+        self.request: Optional[Segment] = None
+
+
 class SplicingDistributor:
     """Packet-level front end owning a VIP and a pool of backend legs."""
 
@@ -120,9 +143,13 @@ class SplicingDistributor:
         self.mapping = MappingTable()
         self._ports = itertools.count(20000)
         self._legs: dict[int, PoolLeg] = {}
-        self._available: dict[str, Store] = {
-            b: Store(sim, name=f"avail:{b}") for b in backends}
-        self._inboxes: dict[Address, Store] = {}
+        #: idle pre-forked legs per backend, handed out oldest first
+        self._idle: dict[str, deque[PoolLeg]] = {b: deque() for b in backends}
+        #: connections whose request waits for a leg, per backend, FIFO
+        self._waiting: dict[str, deque[_ClientConn]] = {
+            b: deque() for b in backends}
+        #: live client connections by client address
+        self._conns: dict[Address, _ClientConn] = {}
         self.relayed_to_server = 0
         self.relayed_to_client = 0
         if tracer is not None:
@@ -160,29 +187,48 @@ class SplicingDistributor:
         return leg.established
 
     def idle_legs(self, backend: str) -> int:
-        return len(self._available[backend])
+        return len(self._idle[backend])
 
     # -- VIP leg: the client side ------------------------------------------
     def _on_vip_segment(self, seg: Segment) -> None:
         client = seg.src
-        if seg.is_syn and client not in self.mapping:
-            entry = self.mapping.create(client, self.sim.now,
-                                        client_isn=seg.seq,
-                                        vip_isn=next(_isns))
-            if self.tracer is not None:
-                entry.trace_id = self.tracer.new_trace()
-            entry.client_seq = seg.seq + 1          # rcv_nxt on the client leg
-            inbox: Store = Store(self.sim, name=f"conn:{client}")
-            self._inboxes[client] = inbox
-            self.sim.process(self._client_conn(entry, inbox),
-                             name=f"splice:{client}")
-            self.net.send(Segment(src=self.vip, dst=client,
-                                  seq=entry.vip_isn, ack=entry.client_seq,
-                                  flags=_SYN_ACK))
+        conn = self._conns.get(client)
+        if conn is None:
+            if seg.is_syn:
+                self._accept(client, seg)
             return
-        inbox = self._inboxes.get(client)
-        if inbox is not None:
-            inbox.put(seg)
+        conn.backlog.append(seg)
+        if conn.idle:
+            conn.idle = False
+            self._hop(self._advance, conn)
+
+    def _hop(self, step: Callable[["_ClientConn"], None],
+             conn: "_ClientConn") -> None:
+        """Take one step of a connection's state machine.
+
+        A step's place in the schedule is a 0-delay event at the tail of
+        the current instant, where a per-connection process would resume;
+        that fixes the emission order of connections active at the same
+        instant (pinned by ``tests/core/test_splicer_order.py``).  When
+        nothing else is due now that event would fire next, so the step
+        runs inline instead: the same order, one event fewer.
+        """
+        if self.sim.idle_now():
+            step(conn)
+        else:
+            self.sim.call_later(0.0, step, conn)
+
+    def _accept(self, client: Address, syn: Segment) -> None:
+        """The client's SYN: create the mapping entry, answer SYN-ACK."""
+        entry = self.mapping.create(client, self.sim.now,
+                                    client_isn=syn.seq, vip_isn=next(_isns))
+        if self.tracer is not None:
+            entry.trace_id = self.tracer.new_trace()
+        entry.client_seq = syn.seq + 1          # rcv_nxt on the client leg
+        self._conns[client] = _ClientConn(entry)
+        self.net.send(Segment(src=self.vip, dst=client,
+                              seq=entry.vip_isn, ack=entry.client_seq,
+                              flags=_SYN_ACK))
 
     def _vip_send(self, entry: MappingEntry, flags: int,
                   payload_len: int = 0, payload=None,
@@ -192,105 +238,152 @@ class SplicingDistributor:
                               flags=flags, payload_len=payload_len,
                               payload=payload, frags=frags))
 
-    def _client_conn(self, entry: MappingEntry, inbox: Store):
-        """Per-connection state machine over the client's segments.
+    def _advance(self, conn: "_ClientConn") -> None:
+        """Handle the connection's unhandled segments, oldest first, one
+        step each (a loop, not recursion: ACK trains can be long)."""
+        backlog = conn.backlog
+        while self._client_segment(conn, backlog.popleft()):
+            if not backlog:
+                conn.idle = True
+                return
+            if not self.sim.idle_now():
+                self.sim.call_later(0.0, self._advance, conn)
+                return
+
+    def _client_segment(self, conn: "_ClientConn", seg: Segment) -> bool:
+        """One client segment through the per-connection state machine.
 
         ``entry.client_seq`` tracks the next expected client sequence
         number; ``entry.client_ack`` is the distributor's own send cursor
         on the client leg (it starts one past the VIP ISN once the
-        handshake completes).
+        handshake completes).  Returns False when the connection stops
+        taking segments: closed, or its request waits for a pool leg.
         """
-        while True:
-            seg: Segment = yield inbox.get()
-            if seg.is_rst:
-                self._teardown(entry, aborted=True)
-                return
-            if entry.state is MappingState.SYN_RECEIVED and seg.is_ack:
-                self.mapping.transition(entry, MappingState.ESTABLISHED)
-                entry.client_ack = entry.vip_isn + 1  # our send cursor
-                if not seg.payload_len:
-                    continue
-            if seg.payload_len and isinstance(seg.payload, HttpRequest):
-                entry.client_seq = seg.seq + seg.payload_len
-                request: HttpRequest = seg.payload
-                if entry.state is MappingState.ESTABLISHED:
-                    bound = yield from self._bind(entry, request)
-                    if not bound:
-                        # unknown document / no backend: refuse the conn
-                        self._vip_send(entry, _RST)
-                        self._teardown(entry, aborted=True)
-                        return
-                leg: PoolLeg = entry.pooled_conn  # type: ignore[assignment]
-                # §2.2 header rewriting: client request -> backend leg
-                self.net.send(Segment(
-                    src=leg.local, dst=leg.remote,
-                    seq=leg.snd_nxt, ack=leg.rcv_nxt,
-                    flags=_ACK_PSH,
-                    payload_len=seg.payload_len, payload=seg.payload,
-                    frags=seg.frags))
-                leg.snd_nxt += seg.payload_len
-                entry.requests_relayed += 1
-                entry.bytes_to_server += seg.payload_len
-                self.relayed_to_server += seg.frags
-                self._vip_send(entry, _ACK, frags=seg.frags)
-                if request.version is HttpVersion.HTTP_1_0:
-                    entry.http10 = True
-                continue
-            if seg.is_fin:
-                entry.client_seq = seg.seq + 1
-                if entry.state in (MappingState.ESTABLISHED,
-                                   MappingState.BOUND):
-                    self.mapping.transition(entry, MappingState.FIN_RECEIVED)
-                self._vip_send(entry, _ACK)
-                if entry.state is MappingState.FIN_RECEIVED:
-                    self.mapping.transition(entry, MappingState.HALF_CLOSED)
-                if entry.vip_fin_sent:
-                    # our FIN already went out (HTTP/1.0 relay path) and the
-                    # client's FIN acknowledges everything: fully closed.
-                    self._teardown(entry)
-                    return
-                self._vip_send(entry, _FIN_ACK)
-                entry.client_ack += 1
-                entry.vip_fin_sent = True
-                continue
-            if seg.is_ack and entry.state is MappingState.HALF_CLOSED \
-                    and seg.ack >= entry.client_ack:
+        entry = conn.entry
+        if seg.is_rst:
+            self._teardown(entry, aborted=True)
+            return False
+        if entry.state is MappingState.SYN_RECEIVED and seg.is_ack:
+            self.mapping.transition(entry, MappingState.ESTABLISHED)
+            entry.client_ack = entry.vip_isn + 1  # our send cursor
+            if not seg.payload_len:
+                return True
+        if seg.payload_len and isinstance(seg.payload, HttpRequest):
+            entry.client_seq = seg.seq + seg.payload_len
+            if entry.state is MappingState.ESTABLISHED:
+                return self._checkout(conn, seg)
+            self._relay_request(entry, seg)
+            return True
+        if seg.is_fin:
+            entry.client_seq = seg.seq + 1
+            if entry.state in (MappingState.ESTABLISHED,
+                               MappingState.BOUND):
+                self.mapping.transition(entry, MappingState.FIN_RECEIVED)
+            self._vip_send(entry, _ACK)
+            if entry.state is MappingState.FIN_RECEIVED:
+                self.mapping.transition(entry, MappingState.HALF_CLOSED)
+            if entry.vip_fin_sent:
+                # our FIN already went out (HTTP/1.0 relay path) and the
+                # client's FIN acknowledges everything: fully closed.
                 self._teardown(entry)
-                return
+                return False
+            self._vip_send(entry, _FIN_ACK)
+            entry.client_ack += 1
+            entry.vip_fin_sent = True
+            return True
+        if seg.is_ack and entry.state is MappingState.HALF_CLOSED \
+                and seg.ack >= entry.client_ack:
+            self._teardown(entry)
+            return False
+        return True
 
-    def _bind(self, entry: MappingEntry, request: HttpRequest):
-        """Route + bind: URL-table lookup, backend choice, pool checkout."""
+    def _checkout(self, conn: "_ClientConn", seg: Segment) -> bool:
+        """Route the first request and check out a leg for it.
+
+        The leg leaves the available list now; the bind and relay follow
+        one step later (:meth:`_bound`), or, when every leg of the chosen
+        backend is busy, once one is released to this connection.
+        """
+        entry = conn.entry
         try:
-            record = self.url_table.lookup(request.url)
+            record = self.url_table.lookup(seg.payload.url)
         except UrlTableError:
-            return False
-        backend = self.policy.select(
-            sorted(b for b in record.locations if b in self.backends),
-            self.view)
+            backend = None
+        else:
+            backend = self.policy.select(
+                sorted(b for b in record.locations if b in self.backends),
+                self.view)
         if backend is None:
+            # unknown document / no backend: refuse the conn
+            self._vip_send(entry, _RST)
+            self._teardown(entry, aborted=True)
             return False
-        leg: PoolLeg = yield self._available[backend].get()
+        conn.request = seg
+        idle = self._idle[backend]
+        if idle:
+            conn.leg = idle.popleft()
+            self._hop(self._bound, conn)
+        else:
+            self._waiting[backend].append(conn)
+        return False
+
+    def _bound(self, conn: "_ClientConn") -> None:
+        """Bind the connection to its checked-out leg, relay the request."""
+        entry, leg, seg = conn.entry, conn.leg, conn.request
+        conn.request = None
         leg.bound_entry = entry
         leg.uses += 1
-        self.mapping.bind(entry, leg, backend,
+        self.mapping.bind(entry, leg, leg.backend,
                           seq_delta=leg.snd_nxt - entry.client_seq,
                           ack_delta=entry.vip_isn - leg.rcv_nxt)
-        self.view.connection_started(backend)
-        return True
+        self.view.connection_started(leg.backend)
+        self._relay_request(entry, seg)
+        if conn.backlog:
+            self._hop(self._advance, conn)
+        else:
+            conn.idle = True
+
+    def _relay_request(self, entry: MappingEntry, seg: Segment) -> None:
+        """§2.2 header rewriting: client request -> backend leg."""
+        leg: PoolLeg = entry.pooled_conn  # type: ignore[assignment]
+        self.net.send(Segment(
+            src=leg.local, dst=leg.remote,
+            seq=leg.snd_nxt, ack=leg.rcv_nxt,
+            flags=_ACK_PSH,
+            payload_len=seg.payload_len, payload=seg.payload,
+            frags=seg.frags))
+        leg.snd_nxt += seg.payload_len
+        entry.requests_relayed += 1
+        entry.bytes_to_server += seg.payload_len
+        self.relayed_to_server += seg.frags
+        self._vip_send(entry, _ACK, frags=seg.frags)
+        if seg.payload.version is HttpVersion.HTTP_1_0:
+            entry.http10 = True
+
+    def _release(self, leg: PoolLeg) -> None:
+        """Return a leg to its backend's available list; the longest
+        waiting connection takes it directly, binding one step later."""
+        waiting = self._waiting[leg.backend]
+        if waiting:
+            conn = waiting.popleft()
+            conn.leg = leg
+            self.sim.call_later(0.0, self._bound, conn)
+        else:
+            self._idle[leg.backend].append(leg)
 
     def _teardown(self, entry: MappingEntry, aborted: bool = False) -> None:
         """CLOSED: delete the entry, return the leg to the available list."""
         leg: Optional[PoolLeg] = entry.pooled_conn  # type: ignore[assignment]
         if leg is not None:
             leg.bound_entry = None
-            self._available[leg.backend].put(leg)
+            self._release(leg)
             self.view.connection_finished(leg.backend)
         if aborted:
             self.mapping.abort(entry.client)
         else:
             self.mapping.transition(entry, MappingState.CLOSED)
             self.mapping.delete(entry.client)
-        self._inboxes.pop(entry.client, None)
+        del self._conns[entry.client]
 
     # -- distributor IP: the backend side -----------------------------------
     def _on_dist_segment(self, seg: Segment) -> None:
@@ -303,7 +396,7 @@ class SplicingDistributor:
             self.net.send(Segment(src=leg.local, dst=leg.remote,
                                   seq=leg.snd_nxt, ack=leg.rcv_nxt,
                                   flags=_ACK))
-            self._available[leg.backend].put(leg)
+            self._release(leg)
             assert leg.established is not None
             leg.established.succeed(leg)
             return

@@ -54,6 +54,17 @@ class Address:
     #: mapping-table hot paths; excluded from eq/hash/repr
     _str: Optional[str] = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
+    #: memoised hash -- connection tables key on addresses, so each one is
+    #: hashed about twenty times over a spliced request's life
+    _hash: Optional[int] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.ip, self.port))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __str__(self) -> str:
         s = self._str

@@ -90,12 +90,16 @@ class Network:
         An aggregated segment (``frags > 1``, fast path only) counts as
         the whole burst it stands for, keeping ``segments_sent``
         byte-identical between the fast and segment paths.
+
+        Delivery is one :meth:`Simulator.call_later` event per segment:
+        the handler and the segment ride in the event itself, so no
+        closure is built per packet.
         """
         self.segments_sent += segment.frags
         handler = self._handlers.get(segment.dst.ip)
         if handler is None:
             return  # destination dark: packet silently dropped
-        self.sim.schedule(self.latency, lambda: handler(segment))
+        self.sim.call_later(self.latency, handler, segment)
 
 
 class Host:

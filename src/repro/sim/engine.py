@@ -184,6 +184,33 @@ class _Initialize(SimEvent):
         sim._enqueue(0.0, self)
 
 
+class _Call(SimEvent):
+    """A scheduled ``fn(arg)`` (see :meth:`Simulator.call_later`).
+
+    The closure-free form of :meth:`Simulator.schedule`: the target and
+    its one argument ride in slots and every instance shares one
+    immutable callback tuple, so scheduling allocates exactly one object.
+    """
+
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, sim: "Simulator", fn: Callable[[Any], Any], arg: Any):
+        self.sim = sim
+        self.callbacks = _CALL_CALLBACKS  # type: ignore[assignment]
+        self._value = None
+        self._exception = None
+        self._defused = False
+        self.fn = fn
+        self.arg = arg
+
+
+def _run_call(event: _Call) -> None:
+    event.fn(event.arg)
+
+
+_CALL_CALLBACKS = (_run_call,)
+
+
 class Process(SimEvent):
     """A running generator.  Also an event that triggers on completion."""
 
@@ -694,6 +721,15 @@ class Simulator:
         self._enqueue(delay, ev)
         return ev
 
+    def call_later(self, delay: float, fn: Callable[[Any], Any],
+                   arg: Any) -> None:
+        """Run ``fn(arg)`` after ``delay`` time units.
+
+        Same queue position as :meth:`schedule` but no closure and no
+        handle: the packet network delivers every segment this way.
+        """
+        self._enqueue(delay, _Call(self, fn, arg))
+
     # -- running -------------------------------------------------------------
     def peek(self) -> float:
         """Timestamp of the next event, or ``inf`` if the queue is empty."""
@@ -710,6 +746,17 @@ class Simulator:
                 buckets.pop(when, None)
             return float("inf")
         return self._heap[0][0] if self._heap else float("inf")
+
+    def idle_now(self) -> bool:
+        """True when no other event is due at the current instant.
+
+        A 0-delay event scheduled now would then fire next, so a caller
+        may run its work inline instead, in the same order.
+        """
+        if self._use_calendar:
+            return not self._cur
+        heap = self._heap
+        return not heap or heap[0][0] > self._now
 
     # -- debug invariants -----------------------------------------------------
     def add_invariant(self, check: Callable[[], None],

@@ -8,6 +8,7 @@ binding, relaying, FIN handling, connection reuse.
 
 import pytest
 
+import repro.core.splicer
 from repro.content import ContentItem, ContentType
 from repro.core import (MappingState, SplicingDistributor, UrlTable)
 from repro.net import (Address, Host, HttpRequest, HttpResponse, HttpVersion,
@@ -180,6 +181,52 @@ class TestConnectionReuse:
         # both eventually served through the single pre-forked connection
         assert r1["response"].served_by == "s1"
         assert r2["response"].served_by == "s1"
+
+    def test_segments_arriving_while_waiting_replay_in_order(self, sim, net):
+        """A request parked on a busy pool keeps its connection's later
+        segments (here a RST) until the leg is handed over: the request
+        is still relayed first, then the reset tears the splice down."""
+        dist, table, served = build(sim, net, prefork=1)
+        table.insert(ContentItem("/a.html", 1000, ContentType.HTML), {"s1"})
+        holder, held = client_fetch(sim, net, "/a.html",
+                                    client_ip="10.0.2.1", close_after=False)
+        sim.run(until=0.05)
+        assert dist.idle_legs("s1") == 0      # the keep-alive holds the leg
+        host = Host(net, "10.0.2.2")
+
+        def impatient():
+            sock = host.socket()
+            yield sock.connect(Address("10.0.0.100", 80))
+            request = HttpRequest("/a.html")
+            sock.send(request, request.wire_bytes)
+            yield sim.timeout(0.01)
+            sock.abort()
+
+        sim.process(impatient())
+        sim.run(until=0.1)
+        assert served["s1"] == [("s1", "/a.html")]   # still parked
+        held["sock"].close()
+        sim.run()
+        assert served["s1"] == [("s1", "/a.html"), ("s1", "/a.html")]
+        assert len(dist.mapping) == 0
+        assert dist.idle_legs("s1") == 1
+
+    def test_distributor_runs_no_processes(self, sim, net):
+        dist, table, served = build(sim, net)
+        table.insert(ContentItem("/a.html", 1000, ContentType.HTML), {"s1"})
+        started = []
+        spawn = sim.process
+
+        def recording_process(generator, name=""):
+            started.append(generator.gi_code.co_filename)
+            return spawn(generator, name=name)
+
+        sim.process = recording_process
+        client_fetch(sim, net, "/a.html")
+        sim.run()
+        assert dist.relayed_to_client == 1
+        assert started                # the test's own client and backend
+        assert repro.core.splicer.__file__ not in started
 
 
 class TestContentAwareRouting:

@@ -41,6 +41,46 @@ class TestClockAndScheduling:
         sim.run()
         assert order == ["a", "b", "c"]
 
+    @pytest.mark.parametrize("fast_path", [False, True])
+    def test_call_later_shares_schedule_fifo_order(self, fast_path):
+        sim = Simulator(fast_path=fast_path)
+        order = []
+        sim.schedule(1.0, lambda: order.append("a"))
+        sim.call_later(1.0, order.append, "b")
+        sim.schedule(1.0, lambda: order.append("c"))
+        sim.call_later(0.5, order.append, "early")
+        sim.run()
+        assert order == ["early", "a", "b", "c"]
+        assert sim.event_count == 4
+
+    @pytest.mark.parametrize("fast_path", [False, True])
+    def test_idle_now_sees_events_due_at_this_instant(self, fast_path):
+        sim = Simulator(fast_path=fast_path)
+        seen = []
+        sim.call_later(1.0, lambda tag: seen.append((tag, sim.idle_now())),
+                       "first")
+        sim.call_later(1.0, lambda tag: seen.append((tag, sim.idle_now())),
+                       "last")
+        sim.call_later(2.0, lambda tag: seen.append((tag, sim.idle_now())),
+                       "alone")
+        sim.run()
+        # "first" still has "last" due at t=1; a later timestamp does not
+        # count as due now
+        assert seen == [("first", False), ("last", True), ("alone", True)]
+
+    @pytest.mark.parametrize("fast_path", [False, True])
+    def test_idle_now_sees_zero_delay_work(self, fast_path):
+        sim = Simulator(fast_path=fast_path)
+        seen = []
+
+        def first(_):
+            sim.call_later(0.0, seen.append, "zero-delay")
+            seen.append(sim.idle_now())
+
+        sim.call_later(1.0, first, None)
+        sim.run()
+        assert seen == [False, "zero-delay"]
+
     def test_events_fire_in_time_order(self, sim):
         order = []
         sim.schedule(3.0, lambda: order.append(3))
