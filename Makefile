@@ -2,8 +2,8 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: verify test check check-deep chaos-smoke chaos chaos-overload \
-	trace telemetry telemetry-smoke golden bench bench-smoke \
-	bench-queues sweep sweep-smoke recover recover-smoke
+	trace telemetry telemetry-smoke golden bench-smoke sweep \
+	sweep-smoke recover recover-smoke
 
 ## The full tier-1 gate: unit/integration tests, the repro.analysis
 ## correctness passes, and the chaos smoke episodes.
@@ -44,25 +44,11 @@ telemetry:
 telemetry-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q -m telemetry
 
-## Kernel fast-path wall-clock benchmark (writes BENCH_kernel.json).
-## Not part of tier-1: wall-clock numbers are host-dependent.
-bench:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench
-
-## CI smoke: every bench stage at reduced scale, asserting the fast
-## path is byte-identical to the segment path.  The wall-clock speedup
-## target is NOT asserted (CI hosts are slow and noisy) -- --smoke
-## makes the exit code equivalence-only.
+## CI smoke: every workload of the repository benchmark at smoke scale,
+## each run's digest checked against benchmarks/suite/expected.json.
+## No wall-clock bound is asserted (CI hosts are slow and noisy).
 bench-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench --scale quick \
-		--smoke --output .bench-smoke.json
-
-## Scheduler queue microbenchmark: heap vs calendar backend on pure
-## scheduling mixes, with a cross-backend dispatch-order digest check
-## (writes BENCH_queues.json).
-bench-queues:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/perf/profile_queues.py \
-		--out BENCH_queues.json
+	$(PYTHON) benchmarks/suite/run.py --smoke
 
 ## Run the checked-in sweep spec across 4 workers (DESIGN §13); the
 ## merged report is byte-identical regardless of the worker count.

@@ -14,7 +14,6 @@ Commands
               Prometheus text format (DESIGN §15)
 ``top``       telemetry dashboard for the overload episode: totals, gauges,
               scheduler introspection, SLO verdicts
-``bench``     kernel fast-path wall-clock benchmark -> BENCH_kernel.json
 ``recover``   controller crash/recovery episode; ``--explore`` crashes the
               controller at every WAL/dispatch boundary (DESIGN §14)
 ``sweep``     run a SweepSpec matrix across worker processes and merge the
@@ -290,33 +289,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0 if result.survived and result.slo_ok else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .experiments.bench import BENCH_STAGES, render_bench, run_bench
-    stages = None if args.stages == "all" else args.stages.split(",")
-    if stages is not None:
-        unknown = [s for s in stages if s not in BENCH_STAGES]
-        if unknown:
-            print(f"unknown stages: {', '.join(unknown)} "
-                  f"(available: {', '.join(BENCH_STAGES)})", file=sys.stderr)
-            return 2
-    payload = run_bench(stages=stages, scale=args.scale, seed=args.seed,
-                        profile=args.profile)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(render_bench(payload))
-    print(f"\nwrote {args.output}")
-    if args.profile:
-        print(f"profiled stage {payload['profile']['stage']} (fast path) "
-              f"-> {args.profile}; inspect with: python -m pstats "
-              f"{args.profile}")
-    ok = all(s["identical"] for s in payload["stages"].values()) and \
-        (args.smoke or payload["target"]["met"] is not False)
-    return 0 if ok else 1
-
-
 def cmd_schemes(args: argparse.Namespace) -> int:
     descriptions = {
         "replication-l4": "full replication + L4 router (WLC) -- config 1",
@@ -538,27 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the per-window dump above the "
                             "dashboard (a --watch-style timeline)")
     p_top.set_defaults(func=cmd_top)
-
-    p_bch = sub.add_parser("bench",
-                           help="benchmark the kernel fast path against "
-                                "the segment-accurate path")
-    p_bch.add_argument("--scale", choices=("quick", "default", "full"),
-                       default="default")
-    p_bch.add_argument("--stages", default="all",
-                       help="comma-separated stage names (default: all); "
-                            "see repro.experiments.bench.BENCH_STAGES")
-    p_bch.add_argument("--seed", type=int, default=42)
-    p_bch.add_argument("--output", default="BENCH_kernel.json",
-                       help="where to write the results JSON")
-    p_bch.add_argument("--profile", default=None, metavar="PSTATS",
-                       help="re-run the slowest stage on the fast path "
-                            "under cProfile and dump pstats here")
-    p_bch.add_argument("--smoke", action="store_true",
-                       help="equivalence-only verdict: exit 0 when every "
-                            "stage is byte-identical, ignoring the "
-                            "wall-clock speedup target (CI hosts are "
-                            "slow and noisy)")
-    p_bch.set_defaults(func=cmd_bench)
 
     p_chk = sub.add_parser("check",
                            help="determinism lint + state-machine check + "

@@ -3,8 +3,8 @@
 ``repro check --deep`` runs three CFG-based passes over ``src/repro``:
 
 * :mod:`gates` -- every use of an opt-in subsystem (tracer, overload
-  control, loss injection, NFS, lifecycle hooks, fast path) is
-  dominated by its gate check (GATE001-004).
+  control, loss injection, NFS, lifecycle hooks) is dominated by its
+  gate check (GATE001, GATE002, GATE004).
 * :mod:`leaks` -- acquire/release pairing for connection leases,
   mapping-table entries, and admission slots across exception and
   early-return paths (LEAK001-003).
@@ -27,14 +27,14 @@ from ..violations import Violation
 from .baseline import (apply_baseline, default_baseline_path, filter_pragmas,
                        load_baseline, render_jsonl, sort_violations)
 from .cfg import build_cfg, conditions, dominators, solve
-from .gates import FAST_PATH_ATTR, GATES, GateSpec, analyze_gates
+from .gates import GATES, GateSpec, analyze_gates
 from .leaks import RESOURCES, ResourceSpec, analyze_leaks
 from .staleness import analyze_staleness
 
 __all__ = [
     "analyze_source", "analyze_file", "analyze_tree",
     "analyze_gates", "analyze_leaks", "analyze_staleness",
-    "GATES", "GateSpec", "FAST_PATH_ATTR", "RESOURCES", "ResourceSpec",
+    "GATES", "GateSpec", "RESOURCES", "ResourceSpec",
     "build_cfg", "conditions", "dominators", "solve",
     "apply_baseline", "default_baseline_path", "load_baseline",
     "render_jsonl", "sort_violations",

@@ -1,4 +1,4 @@
-"""Gate-dominance analysis (GATE001-004).
+"""Gate-dominance analysis (GATE001, GATE002, GATE004).
 
 The repo's opt-in subsystems -- tracing, overload control, loss
 injection, NFS backends, lifecycle hooks -- are all wired as optional
@@ -15,9 +15,6 @@ GATE001   tracer API call (``point``/``begin``/``end``/``new_trace``)
           not dominated by a tracer guard.
 GATE002   other gated subsystem (overload control, retry budget, NFS,
           loss RNG, lifecycle hook) dereferenced without its guard.
-GATE003   ``fast_path`` branch whose false edge falls off the function
-          exit -- i.e. no reachable slow-path fallback for the
-          operation.
 GATE004   gate dereferenced where it is *known* ``None`` (dominated by
           the guard's false edge).
 
@@ -52,9 +49,9 @@ import dataclasses
 from typing import Optional
 
 from ..violations import Violation
-from .cfg import Cfg, Edge, Node, build_cfg, conditions, solve, walk_scoped
+from .cfg import Edge, Node, build_cfg, conditions, solve, walk_scoped
 
-__all__ = ["GateSpec", "GATES", "FAST_PATH_ATTR", "analyze_gates"]
+__all__ = ["GateSpec", "GATES", "analyze_gates"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,17 +109,6 @@ GATES: tuple[GateSpec, ...] = (
              api=("on_event", "add_gauge", "add_cumulative", "finalize"),
              describe="telemetry sampler"),
 )
-
-FAST_PATH_ATTR = "fast_path"
-
-#: Pooled-object recycling sites (scheduler overhaul, DESIGN §16): a
-#: ``fast_path`` branch whose body only returns hot objects to a pool is
-#: an allocation optimisation, not an operation -- the slow path simply
-#: allocates fresh objects, so no fallback edge is required.  A branch
-#: qualifies when every statement appends to a ``*_pool`` attribute or
-#: calls a ``recycle_*`` API.
-POOL_SINK_SUFFIX = "_pool"
-POOL_RECYCLE_PREFIX = "recycle_"
 
 _GATE_BY_ATTR = {g.attr: g for g in GATES}
 
@@ -505,60 +491,6 @@ class _UseScanner:
             self._visit(child, facts, False)
 
 
-def _is_pool_recycle_body(body: list[ast.stmt]) -> bool:
-    """True when every statement recycles an object into a pool."""
-    for stmt in body:
-        if not isinstance(stmt, ast.Expr) or \
-                not isinstance(stmt.value, ast.Call):
-            return False
-        func = stmt.value.func
-        if not isinstance(func, ast.Attribute):
-            return False
-        if func.attr.startswith(POOL_RECYCLE_PREFIX):
-            continue
-        if func.attr == "append" and isinstance(func.value, ast.Attribute) \
-                and func.value.attr.endswith(POOL_SINK_SUFFIX):
-            continue
-        return False
-    return bool(body)
-
-
-def _fast_path_findings(cfg: Cfg) -> list[_Finding]:
-    """GATE003: a ``fast_path`` branch whose false edge reaches the
-    function exit without executing anything -- no slow-path fallback.
-    Pool-recycle branches (see :data:`POOL_SINK_SUFFIX`) are exempt."""
-    out: list[_Finding] = []
-    for node in cfg.nodes:
-        if node.kind != "test" or node.expr is None or \
-                not isinstance(node.stmt, ast.If):
-            continue
-        if _is_pool_recycle_body(node.stmt.body):
-            continue
-        mentions = any(
-            (isinstance(sub, ast.Attribute) and sub.attr == FAST_PATH_ATTR)
-            or (isinstance(sub, ast.Name) and sub.id == FAST_PATH_ATTR)
-            for sub in walk_scoped(node.expr))
-        if not mentions:
-            continue
-        for edge in cfg.succs[node.index]:
-            if edge.exc or edge.polarity is not False:
-                continue
-            cur = edge.dst
-            seen = set()
-            while cfg.nodes[cur].kind == "merge" and cur not in seen:
-                seen.add(cur)
-                nxt = [e.dst for e in cfg.succs[cur] if not e.exc]
-                if len(nxt) != 1:
-                    break
-                cur = nxt[0]
-            if cfg.nodes[cur].kind == "exit":
-                out.append(_Finding(
-                    "GATE003", node.line,
-                    "fast_path branch has no slow-path fallback: the "
-                    "non-fast edge falls off the function exit"))
-    return out
-
-
 def _analyze_function(func: ast.FunctionDef | ast.AsyncFunctionDef,
                       optional_attrs: frozenset[str],
                       class_methods: frozenset[str],
@@ -580,8 +512,7 @@ def _analyze_function(func: ast.FunctionDef | ast.AsyncFunctionDef,
             continue  # unreachable
         for root in node.scan_roots():
             scanner.scan(root, ins[node.index])
-    findings = scanner.findings + _fast_path_findings(cfg)
-    return findings, scanner.method_refs, scanner.direct_calls
+    return scanner.findings, scanner.method_refs, scanner.direct_calls
 
 
 def analyze_gates(tree: ast.Module, path: str) -> list[Violation]:

@@ -46,42 +46,34 @@ class Cpu:
         duration = self.scaled(reference_seconds)
         core = self._core
         ks = self.sim.kernel_stats
-        if self.sim.fast_path:
-            req = core.try_acquire()
-            if req is not None:
-                try:
-                    if ks is not None:
-                        ks.on_fast_path("cpu", True)
-                    yield self.sim.hot_timeout(duration)
-                finally:
-                    core.release(req)
-            else:
-                if ks is not None:
-                    ks.on_fast_path("cpu", False)
-                # Grant-and-hold: the grant event fires once, at the end
-                # of the burst (see Resource.request).
-                req = yield core.request(hold=duration)
-                core.release(req)
-        else:
-            req = yield core.request()
+        req = core.try_acquire()
+        if req is not None:
             try:
-                yield self.sim.timeout(duration)
+                if ks is not None:
+                    ks.on_fast_path("cpu", True)
+                yield self.sim.hot_timeout(duration)
             finally:
                 core.release(req)
+        else:
+            if ks is not None:
+                ks.on_fast_path("cpu", False)
+            # Grant-and-hold: the grant event fires once, at the end
+            # of the burst (see Resource.request).
+            req = yield core.request(hold=duration)
+            core.release(req)
         self.busy_seconds += duration
         self.bursts += 1
 
     def run_pair(self, first_ref: float, second_ref: float) -> Generator:
-        """Fast path only: two back-to-back bursts as one segmented hold.
+        """Two back-to-back bursts as one segmented hold.
 
-        Caller must have verified ``sim.fast_path`` and
-        ``self._core.can_acquire``.  Uncontended, this costs one scheduled
-        event for both bursts and applies the bookkeeping the two-burst
-        event cascade would have produced.  A contender arriving at or
-        before the internal boundary splits the hold (see
-        :meth:`Resource.hold_segmented`): the first burst completes at the
-        boundary exactly as the event path would, and the second burst
-        replays through :meth:`run`.
+        Caller must have verified ``self._core.can_acquire``.
+        Uncontended, this costs one scheduled event for both bursts and
+        applies the bookkeeping the two-burst event cascade would have
+        produced.  A contender arriving at or before the internal boundary
+        splits the hold (see :meth:`Resource.hold_segmented`): the first
+        burst completes at the boundary exactly as the event path would,
+        and the second burst replays through :meth:`run`.
         """
         d1 = self.scaled(first_ref)
         d2 = self.scaled(second_ref)

@@ -50,7 +50,7 @@ class Disk:
         """
         arm = self._arm
         ks = self.sim.kernel_stats
-        if self.sim.fast_path and self.slowdown == 1.0:
+        if self.slowdown == 1.0:
             req = arm.try_acquire()
             if req is not None:
                 try:
@@ -66,7 +66,7 @@ class Disk:
                 # Resource.request).
                 req = yield arm.request(hold=duration)
                 arm.release(req)
-        elif self.sim.fast_path:
+        else:
             if ks is not None:
                 ks.on_fast_path("disk", False)
             # Degraded disk: keep the exact two-event interleaving so
@@ -75,12 +75,6 @@ class Disk:
             req = yield arm.request()
             try:
                 yield self.sim.hot_timeout(duration)
-            finally:
-                arm.release(req)
-        else:
-            req = yield arm.request()
-            try:
-                yield self.sim.timeout(duration)
             finally:
                 arm.release(req)
 

@@ -87,7 +87,7 @@ class BackendServer:
         self.completed_requests = 0
         self.failed_requests = 0
         #: served-from-memory requests collapsed to an O(1) segmented hold
-        #: (fast path only; mirrors ``Lan.fast_transfers``)
+        #: (mirrors ``Lan.fast_transfers``)
         self.fast_serves = 0
         self.alive = True
 
@@ -131,8 +131,8 @@ class BackendServer:
         started = self.sim.now
         self.active_requests += 1
         ks = self.sim.kernel_stats
-        if (self.sim.fast_path and item is not None
-                and not item.ctype.is_dynamic and item.path in self.cache):
+        if (item is not None and not item.ctype.is_dynamic
+                and item.path in self.cache):
             factor = self._cpu_cost_factor()
             # the eager cache access below is only equivalent if the event
             # path's access (at the parse-burst boundary) also happens
@@ -168,8 +168,7 @@ class BackendServer:
                 finally:
                     self.workers.release(slot)
                     self.active_requests -= 1
-        slot = (self.workers.try_acquire()
-                if self.sim.fast_path else None)
+        slot = self.workers.try_acquire()
         if slot is None:
             slot = yield self.workers.request()
         try:

@@ -125,8 +125,8 @@ class ConnectionPool:
         """Synchronously take an idle connection, or ``None`` if the caller
         would have to wait for a release.
 
-        The fast-path twin of :meth:`acquire`: growth, counters, and trace
-        points are byte-identical to the event-based path for the
+        The synchronous twin of :meth:`acquire`: growth, counters, and
+        trace points are byte-identical to :meth:`acquire`'s for the
         no-wait case; lease accounting just happens immediately instead of
         at event-delivery time (the delivery event fires at the same
         timestamp, so nothing observable moves).

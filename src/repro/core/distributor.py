@@ -18,7 +18,7 @@ from ..cluster import BackendServer, NodeSpec
 from ..content import ContentItem
 from ..net import HttpRequest, Lan
 from ..sim import Simulator
-from .conn_pool import PoolManager, PooledConnection
+from .conn_pool import PoolManager
 from .frontend import Frontend, FrontendCosts
 from .overload import OverloadConfig
 from .policies import LeastLoadedReplica, Policy
@@ -74,8 +74,7 @@ class ContentAwareDistributor(Frontend):
         """HTTP parse + URL-table lookup + replica selection."""
         tracer = self.tracer
         tid = request.trace_id or None
-        if (tracer is None and self.sim.fast_path
-                and self.cpu._core.can_acquire
+        if (tracer is None and self.cpu._core.can_acquire
                 and self.sim.fits_horizon(
                     self.cpu.scaled(self.costs.http_parse_cpu))):
             # Collapse parse + lookup into one segmented CPU hold.  The
@@ -138,11 +137,9 @@ class ContentAwareDistributor(Frontend):
 
     def acquire_backend(self, backend: str) -> Generator:
         pool = self.pools.pool(backend)
-        if self.sim.fast_path:
-            conn = pool.try_acquire()
-            if conn is not None:
-                return conn
-        conn: PooledConnection = yield pool.acquire()
+        conn = pool.try_acquire()
+        if conn is None:
+            conn = yield pool.acquire()
         return conn
 
     def release_backend(self, backend: str, token) -> None:

@@ -341,29 +341,24 @@ class Frontend:
             # it consumes front-end CPU but adds nothing to user latency
             if self.costs.teardown_cpu:
                 core = self.cpu._core
-                if self.sim.fast_path and core.can_acquire:
-                    # collapse the fire-and-forget teardown process (4
-                    # events) into a synchronous grant plus one scheduled
-                    # release: the CPU is held for the identical window
-                    duration = self.cpu.scaled(self.costs.teardown_cpu)
+                duration = self.cpu.scaled(self.costs.teardown_cpu)
+                if core.can_acquire:
+                    # a fire-and-forget teardown burst: a synchronous grant
+                    # plus one scheduled release holds the CPU for the
+                    # burst's window, with no process and no generator
                     req = core.try_acquire()
                     self.sim.schedule(
                         duration,
                         lambda: self._teardown_done(req, duration))
-                elif self.sim.fast_path:
-                    # Busy core: the teardown still may not jump the queue
-                    # -- the event path's process joins the core's FIFO
-                    # only when its _Initialize fires, after every event
-                    # already scheduled for this instant.  A 0-delay
-                    # callback lands at the identical batch position, then
-                    # queues a grant-and-hold request; no process, no
-                    # generator, one event less.
-                    duration = self.cpu.scaled(self.costs.teardown_cpu)
+                else:
+                    # Busy core: the teardown may not jump the queue -- it
+                    # joins the core's FIFO after every event already
+                    # scheduled for this instant, where a spawned
+                    # process's _Initialize would fire.  A 0-delay
+                    # callback lands at that batch position, then queues
+                    # a grant-and-hold request.
                     self.sim.schedule(
                         0.0, lambda: self._teardown_enqueue(duration))
-                else:
-                    self.sim.process(self.cpu.run(self.costs.teardown_cpu),
-                                     name="teardown")
             return self._finish(entry, request, response, started, item,
                                 span=span)
         except BaseException:
@@ -387,10 +382,10 @@ class Frontend:
         self.cpu.bursts += 1
 
     def _teardown_enqueue(self, duration: float) -> None:
-        """Deferred half of the processless teardown (fast path only).
+        """Deferred half of the processless teardown.
 
-        Runs where the event path's teardown process would have started;
-        the bookkeeping below mirrors Cpu.run exactly.
+        Runs where a spawned teardown process would have started; the
+        bookkeeping below mirrors Cpu.run exactly.
         """
         core = self.cpu._core
         req = core.try_acquire()
@@ -405,27 +400,19 @@ class Frontend:
                        item: Optional[ContentItem]) -> Generator:
         """Await the backend's response, bounded by the request timeout."""
         ctl = self.overload
-        if (ctl is None or ctl.config.request_timeout <= 0) \
-                and self.sim.fast_path:
+        if ctl is None or ctl.config.request_timeout <= 0:
             # no timeout race to arbitrate: run the serve inline instead of
             # spawning a join-able process (nothing ever interrupts a
             # submit mid-serve, so the spawn bought only isolation that the
             # exception handling in _serve_spliced already provides)
             return (yield from server.serve(request, item))
         proc = self.sim.process(server.serve(request, item))
-        if ctl is None or ctl.config.request_timeout <= 0:
-            return (yield proc)
-        if self.sim.fast_path:
-            # pooled race: same two events and the same arbitration, but
-            # the timer and the AnyOf come from (and return to) the
-            # kernel's recycling pools instead of being allocated per race
-            timer = self.sim.hot_timeout(ctl.config.request_timeout)
-            cond = self.sim.hot_any_of((proc, timer))
-            yield cond
-            self.sim.recycle_any_of(cond)
-        else:
-            timer = self.sim.timeout(ctl.config.request_timeout)
-            yield self.sim.any_of([proc, timer])
+        # pooled race: the timer and the AnyOf come from (and return to)
+        # the kernel's recycling pools instead of being allocated per race
+        timer = self.sim.hot_timeout(ctl.config.request_timeout)
+        cond = self.sim.hot_any_of((proc, timer))
+        yield cond
+        self.sim.recycle_any_of(cond)
         if proc.triggered:
             return proc.value
         # the backend is still chewing: abandon the splice (the distributor

@@ -103,7 +103,6 @@ class ChaosRunner:
                  duration: float = 6.0, clients: int = 10,
                  n_objects: int = 300, settle: float = 2.5,
                  extra_faults: int = 2, trace: bool = False,
-                 fast_path: bool = False,
                  telemetry: Optional[float] = None):
         if episodes < 1:
             raise ValueError("need at least one episode")
@@ -119,9 +118,6 @@ class ChaosRunner:
         #: attach a repro.obs tracer to every episode; a failed episode's
         #: result then carries the flight recorder's final timeline
         self.trace = trace
-        #: run every episode on the kernel fast path (byte-identical
-        #: outcomes; the equivalence suite pins this)
-        self.fast_path = fast_path
         #: sample windowed telemetry with this window length (sim seconds)
         #: and evaluate the chaos SLOs per episode; None = off
         self.telemetry = telemetry
@@ -133,7 +129,7 @@ class ChaosRunner:
             scheme="partition-ca", workload=WORKLOAD_A,
             seed=self.seed * 1000 + index, n_objects=self.n_objects,
             warmup=0.5, duration=self.duration, n_client_machines=6,
-            trace=self.trace, fast_path=self.fast_path)
+            trace=self.trace)
         deployment = build_deployment(config)
         sim, lan = deployment.sim, deployment.lan
         servers = deployment.servers
@@ -511,7 +507,6 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
                          config: OverloadConfig = OVERLOAD_EPISODE_CONFIG,
                          enabled: bool = True,
                          trace: bool = False,
-                         fast_path: bool = False,
                          telemetry: Optional[float] = None,
                          slos=None,
                          kernel_stats: bool = False) -> OverloadEpisodeResult:
@@ -539,7 +534,7 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
         n_objects=n_objects, warmup=0.5, duration=duration,
         n_client_machines=6, prewarm=False,
         overload=config if enabled else None, trace=trace,
-        fast_path=fast_path, kernel_stats=kernel_stats)
+        kernel_stats=kernel_stats)
     deployment = build_deployment(exp)
     sim, lan, servers = deployment.sim, deployment.lan, deployment.servers
     primary = deployment.frontend

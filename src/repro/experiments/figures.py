@@ -47,13 +47,12 @@ def render_table(title: str, headers: Sequence[str],
 
 
 def _sweep(scheme: str, workload, clients: Sequence[int],
-           duration: float, warmup: float, seed: int,
-           fast_path: bool = False) -> list[dict]:
+           duration: float, warmup: float, seed: int) -> list[dict]:
     results = []
     for n in clients:
         config = ExperimentConfig(scheme=scheme, workload=workload,
                                   duration=duration, warmup=warmup,
-                                  seed=seed, fast_path=fast_path)
+                                  seed=seed)
         deployment = build_deployment(config)
         results.append(deployment.run(n))
         results[-1]["n_clients"] = n
@@ -62,7 +61,7 @@ def _sweep(scheme: str, workload, clients: Sequence[int],
 
 def figure2(clients: Sequence[int] = DEFAULT_CLIENTS,
             duration: float = 14.0, warmup: float = 4.0,
-            seed: int = 42, fast_path: bool = False) -> dict:
+            seed: int = 42) -> dict:
     """Figure 2: Workload A throughput for the three placement schemes.
 
     Expected shape (the paper's result): NFS far below both, flat (the
@@ -72,7 +71,7 @@ def figure2(clients: Sequence[int] = DEFAULT_CLIENTS,
     """
     schemes = ("replication-l4", "nfs-l4", "partition-ca")
     series = {scheme: _sweep(scheme, WORKLOAD_A, clients,
-                             duration, warmup, seed, fast_path)
+                             duration, warmup, seed)
               for scheme in schemes}
     rows = []
     for i, n in enumerate(clients):
@@ -94,7 +93,7 @@ def figure2(clients: Sequence[int] = DEFAULT_CLIENTS,
 
 def figure3(clients: Sequence[int] = DEFAULT_CLIENTS,
             duration: float = 14.0, warmup: float = 4.0,
-            seed: int = 42, fast_path: bool = False) -> dict:
+            seed: int = 42) -> dict:
     """Figure 3: Workload B throughput, replication+WLC vs partition+CA.
 
     Expected shape: the content-aware configuration outperforms
@@ -103,7 +102,7 @@ def figure3(clients: Sequence[int] = DEFAULT_CLIENTS,
     """
     schemes = ("replication-l4", "partition-ca")
     series = {scheme: _sweep(scheme, WORKLOAD_B, clients,
-                             duration, warmup, seed, fast_path)
+                             duration, warmup, seed)
               for scheme in schemes}
     rows = []
     for i, n in enumerate(clients):

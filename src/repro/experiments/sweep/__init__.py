@@ -1,9 +1,9 @@
 """Parallel sweep engine with deterministic merge (DESIGN.md §13).
 
 A :class:`SweepSpec` describes a matrix of simulation runs -- seed
-ranges, workload scales, policy knobs, chaos schedules, fast-path on/off
--- over the existing evidence harnesses (experiment cells, chaos
-episodes, the overload episode, the open-loop bench stage).  The engine
+ranges, workload scales, policy knobs, chaos schedules -- over the
+existing evidence harnesses (experiment cells, chaos episodes, the
+overload episode, the open-loop splice run).  The engine
 expands the matrix into a deterministic run list, fans it across
 ``multiprocessing`` worker processes, writes one content-addressed JSON
 artifact per run, and merges the artifacts into a single byte-stable

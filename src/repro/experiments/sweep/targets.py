@@ -80,8 +80,7 @@ def _check_params(target: str, params: dict, required: frozenset[str],
 
 _CELL_REQUIRED = frozenset({"seed", "clients"})
 _CELL_OPTIONAL = frozenset({"scheme", "workload", "duration", "warmup",
-                            "n_objects", "n_client_machines", "prewarm",
-                            "fast_path"})
+                            "n_objects", "n_client_machines", "prewarm"})
 
 
 def _target_cell(params: dict) -> dict:
@@ -102,8 +101,7 @@ def _target_cell(params: dict) -> dict:
         warmup=params.get("warmup", 2.0),
         duration=params.get("duration", 8.0),
         n_client_machines=params.get("n_client_machines", 24),
-        prewarm=params.get("prewarm", True),
-        fast_path=params.get("fast_path", False))
+        prewarm=params.get("prewarm", True))
     summary = build_deployment(config).run(params["clients"])
     return {"completed": summary["completed"],
             "errors": summary["errors"],
@@ -114,8 +112,7 @@ def _target_cell(params: dict) -> dict:
 
 _CHAOS_REQUIRED = frozenset({"seed"})
 _CHAOS_OPTIONAL = frozenset({"episodes", "duration", "clients", "n_objects",
-                             "settle", "extra_faults", "fast_path",
-                             "telemetry"})
+                             "settle", "extra_faults", "telemetry"})
 
 
 def _target_chaos(params: dict) -> dict:
@@ -130,7 +127,6 @@ def _target_chaos(params: dict) -> dict:
         n_objects=params.get("n_objects", 300),
         settle=params.get("settle", 2.5),
         extra_faults=params.get("extra_faults", 2),
-        fast_path=params.get("fast_path", False),
         telemetry=telemetry)
     runner.run()
     episodes = [{"episode": r.episode,
@@ -162,8 +158,7 @@ def _target_chaos(params: dict) -> dict:
 
 _OVERLOAD_REQUIRED = frozenset({"seed"})
 _OVERLOAD_OPTIONAL = frozenset({"duration", "clients", "n_objects", "settle",
-                                "multiplier", "enabled", "fast_path",
-                                "telemetry"})
+                                "multiplier", "enabled", "telemetry"})
 
 
 def _target_overload(params: dict) -> dict:
@@ -178,7 +173,6 @@ def _target_overload(params: dict) -> dict:
         settle=params.get("settle", 2.5),
         multiplier=params.get("multiplier", 4.0),
         enabled=params.get("enabled", True),
-        fast_path=params.get("fast_path", False),
         telemetry=telemetry)
     out = {"completed": result.completed,
            "errors": result.errors,
@@ -236,24 +230,21 @@ def _target_recover(params: dict) -> dict:
             "explored": jsonify(report["explored"])}
 
 
-# -- openloop: the packet-level splice bench stage (digest only) ------------
+# -- openloop: the packet-level open-loop splice run (digest only) ----------
 
 _OPENLOOP_REQUIRED = frozenset({"seed"})
-_OPENLOOP_OPTIONAL = frozenset({"rate", "duration", "prefork", "mss",
-                                "fast_path"})
+_OPENLOOP_OPTIONAL = frozenset({"rate", "duration", "prefork", "mss"})
 
 
 def _target_openloop(params: dict) -> dict:
-    from ..bench import run_openloop_splice
+    from ..openloop import run_openloop_splice
     _check_params("openloop", params, _OPENLOOP_REQUIRED, _OPENLOOP_OPTIONAL)
     out = run_openloop_splice(
         rate=params.get("rate", 400.0),
         duration=params.get("duration", 2.0),
         seed=params["seed"],
-        fast_path=params.get("fast_path", False),
         prefork=params.get("prefork", 8),
         mss=params.get("mss", 1460))
-    # wall_s is deliberately dropped: it measures the host, not the model
     return {"completed": out["requests"],
             "errors": 0,
             "digest": out["digest"],

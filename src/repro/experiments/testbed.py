@@ -68,11 +68,6 @@ class ExperimentConfig:
     #: breaker/shed/pool point events, and a flight recorder.  Off by
     #: default -- tracer=None keeps the event sequence byte-for-byte
     trace: bool = False
-    #: enable the kernel fast path (DESIGN.md §11): resource grants become
-    #: synchronous and fault-free exchanges collapse to single completion
-    #: events.  Off by default; when on, golden metrics, trace JSONL, and
-    #: chaos outcome tables are byte-identical to the event-accurate path
-    fast_path: bool = False
     #: attach a repro.obs KernelStats scheduler observer (with call-site
     #: attribution): per-event-class scheduled/fired/cancelled counts,
     #: heap high-water, pool recycling.  Passive -- byte-identical off/on
@@ -184,7 +179,6 @@ def build_deployment(config: ExperimentConfig) -> Deployment:
         from ..obs import KernelStats
         kernel_stats = KernelStats(callsites=True)
     sim = Simulator(debug=config.debug_invariants,
-                    fast_path=config.fast_path,
                     kernel_stats=kernel_stats)
     lan = Lan(sim)
     specs = paper_testbed_specs()

@@ -153,8 +153,8 @@ class Lan:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         ks = self.sim.kernel_stats
-        if (self.sim.fast_path and self._loss_rng is None
-                and not self._partitioned and self.extra_latency == 0.0):
+        if (self._loss_rng is None and not self._partitioned
+                and self.extra_latency == 0.0):
             # No active fault: acquire each endpoint channel synchronously
             # when it is idle (bookkeeping-identical to the event-based
             # grant, see Resource.try_acquire) and queue event-accurately
@@ -197,7 +197,7 @@ class Lan:
             src.bytes_sent += nbytes
             dst.bytes_received += nbytes
             return self.sim.now
-        if ks is not None and self.sim.fast_path:
+        if ks is not None:
             ks.on_fast_path("lan", False)
         # Faults are paid *before* acquiring either channel: a transfer
         # stuck behind a partition must not hold the sender's TX and

@@ -72,8 +72,8 @@ class Network:
         self.latency = latency
         self._handlers: dict[str, Callable[[Segment], None]] = {}
         self.segments_sent = 0
-        #: multi-segment bursts collapsed to one aggregated segment by the
-        #: kernel fast path (DESIGN.md §11); 0 on the segment-at-a-time path
+        #: multi-segment bursts collapsed to one aggregated segment by
+        #: :meth:`TcpSocket.send_data` (DESIGN.md §11)
         self.flow_forwards = 0
 
     def register(self, ip: str, handler: Callable[[Segment], None]) -> None:
@@ -87,9 +87,8 @@ class Network:
     def send(self, segment: Segment) -> None:
         """Schedule delivery of ``segment`` to its destination IP.
 
-        An aggregated segment (``frags > 1``, fast path only) counts as
-        the whole burst it stands for, keeping ``segments_sent``
-        byte-identical between the fast and segment paths.
+        An aggregated segment (``frags > 1``) counts as the whole burst
+        it stands for, so ``segments_sent`` counts wire segments.
 
         Delivery is one :meth:`Simulator.call_later` event per segment:
         the handler and the segment ride in the event itself, so no
@@ -202,12 +201,12 @@ class TcpSocket:
         object) -- the marker receivers and middleboxes use to recognize
         the last packet of an application message.
 
-        On the kernel fast path (DESIGN.md §11) the whole burst collapses
-        to one aggregated segment carrying ``frags=len(sizes)``: the
-        flow-level splice fast-forward.  Sequence arithmetic, counters,
-        and delivery time are identical (all fragments are emitted at the
-        same instant and the network delivers with fixed latency); only
-        the number of scheduled events changes.
+        A multi-segment burst collapses to one aggregated segment
+        carrying ``frags=nsegs`` (DESIGN.md §11): the flow-level splice
+        fast-forward.  Sequence arithmetic, counters, and delivery time
+        are those of ``nsegs`` separate segments (all fragments are
+        emitted at the same instant and the network delivers with fixed
+        latency); only the number of scheduled events changes.
         """
         if mss <= 0:
             raise ValueError("mss must be positive")
@@ -215,18 +214,15 @@ class TcpSocket:
             raise ValueError("nbytes must be positive")
         full, rest = divmod(nbytes, mss)
         nsegs = full + (1 if rest else 0)
-        if nsegs > 1 and self.sim.fast_path:
-            if self.state not in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
-                raise ProtocolError(f"send() in state {self.state}")
-            self.net.flow_forwards += 1
-            self._emit(_ACK_PSH, payload_len=nbytes,
-                       payload=payload, frags=nsegs)
-            self.snd_nxt += nbytes
-            return nsegs
-        sizes = [mss] * full + ([rest] if rest else [])
-        for size in sizes[:-1]:
-            self.send(None, size)
-        self.send(payload, sizes[-1])
+        if nsegs == 1:
+            self.send(payload, nbytes)
+            return 1
+        if self.state not in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
+            raise ProtocolError(f"send() in state {self.state}")
+        self.net.flow_forwards += 1
+        self._emit(_ACK_PSH, payload_len=nbytes,
+                   payload=payload, frags=nsegs)
+        self.snd_nxt += nbytes
         return nsegs
 
     def recv_message(self, total_bytes: int) -> "SimEvent | None":
@@ -320,8 +316,7 @@ class TcpSocket:
         self.rcv_nxt += segment.seq_space()
         if segment.payload_len:
             self.inbox.put((segment.payload, segment.payload_len))
-        # ACKing an aggregated segment stands for the per-fragment ACKs
-        # the segment path would have sent
+        # ACKing an aggregated segment stands for one ACK per fragment
         self._emit(_ACK, frags=segment.frags)
 
     def _in_syn_sent(self, segment: Segment) -> None:

@@ -9,7 +9,7 @@ bounded last-N ring dumped on invariant/chaos failures
 (:mod:`~repro.obs.waterfall`).  The continuous-telemetry plane adds
 scheduler introspection + windowed time-series with JSONL/Prometheus
 exporters (:mod:`~repro.obs.telemetry`), declarative SLO evaluation
-(:mod:`~repro.obs.slo`), and cProfile subsystem attribution
+(:mod:`~repro.obs.slo`), and source-path subsystem attribution
 (:mod:`~repro.obs.profile`).
 
 Everything here obeys the repository's determinism contract: no wall
@@ -18,7 +18,7 @@ clock, no global RNG, sorted iteration everywhere -- the
 """
 
 from .export import to_chrome_trace, to_jsonl
-from .profile import attribute_profile, classify_path, peak_rss_kb
+from .profile import classify_path, peak_rss_kb
 from .recorder import FlightRecorder, format_event
 from .slo import (DEFAULT_CHAOS_SLOS, DEFAULT_OVERLOAD_SLOS, SloSpec,
                   evaluate_slos, slo_metrics_from_rig)
@@ -38,7 +38,7 @@ __all__ = [
     "KernelStats", "TelemetrySampler", "TelemetryWindow",
     "telemetry_to_jsonl", "telemetry_to_prometheus",
     "render_top", "render_windows",
-    "attribute_profile", "classify_path", "peak_rss_kb",
+    "classify_path", "peak_rss_kb",
     "SloSpec", "evaluate_slos", "slo_metrics_from_rig",
     "DEFAULT_OVERLOAD_SLOS", "DEFAULT_CHAOS_SLOS",
 ]

@@ -1,28 +1,23 @@
-"""Subsystem attribution for cProfile runs and process-resource helpers.
+"""Subsystem attribution of source paths and process-resource helpers.
 
-``repro bench --profile`` used to dump raw pstats and stop there; this
-module turns a profile into an answer to ROADMAP item 1's question --
-*where does the wall-clock go?* -- by bucketing every profiled function
-into a repository subsystem (sim kernel / net / splicer / cluster / ...)
-and emitting a sorted, JSON-ready attribution table.
-
-Attribution is purely lexical on ``co_filename``: the path segment after
-the ``repro`` package root names the subsystem, with the splicer split
-out of ``core`` because it is the hot path the fast-path work targets.
-Everything outside the package is ``stdlib`` (interpreter / standard
-library) or ``other``.
+``classify_path`` buckets a source file into a repository subsystem
+(sim kernel / net / splicer / cluster / ...), which names the call sites
+in :class:`~repro.obs.telemetry.KernelStats` reports.  Attribution is
+purely lexical: the path segment after the ``repro`` package root names
+the subsystem, with the splicer split out of ``core`` because it is the
+packet path's hot spot.  Everything outside the package is ``stdlib``
+(interpreter / standard library) or ``other``.
 
 ``peak_rss_kb`` reads the process high-water RSS.  It is host-dependent
-by nature, so it never feeds a deterministic export -- bench reports and
-the ``repro top`` dashboard only.
+by nature, so it never feeds a deterministic export -- the ``repro top``
+dashboard and opt-in host telemetry only.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Any
 
-__all__ = ["SUBSYSTEMS", "classify_path", "attribute_profile", "peak_rss_kb"]
+__all__ = ["SUBSYSTEMS", "classify_path", "peak_rss_kb"]
 
 #: package directories that name their own attribution bucket
 SUBSYSTEMS = ("sim", "net", "core", "splicer", "cluster", "mgmt", "obs",
@@ -60,55 +55,6 @@ def classify_path(path: str) -> str:
     if norm.startswith(prefix) or "/lib/python" in norm:
         return "stdlib"
     return "other"
-
-
-def _stats_table(profile: Any) -> dict:
-    """The raw ``pstats`` entry table of a profiler or Stats object."""
-    import pstats
-
-    if isinstance(profile, pstats.Stats):
-        return profile.stats  # type: ignore[attr-defined]
-    return pstats.Stats(profile).stats  # type: ignore[attr-defined]
-
-
-def attribute_profile(profile: Any, top: int = 15) -> dict:
-    """Bucket a cProfile run into subsystems.
-
-    Returns a JSON-ready dict: ``total_s`` (sum of per-function internal
-    time), ``subsystems`` mapping bucket -> ``{calls, tottime_s, share}``
-    sorted by key, and ``top_functions`` -- the ``top`` most expensive
-    functions by internal time, each tagged with its bucket.
-    """
-    table = _stats_table(profile)
-    buckets: dict[str, dict[str, float]] = {}
-    functions = []
-    total = 0.0
-    for (path, line, func), (_cc, nc, tt, ct, _callers) in table.items():
-        bucket = classify_path(path)
-        agg = buckets.setdefault(bucket, {"calls": 0, "tottime_s": 0.0})
-        agg["calls"] += nc
-        agg["tottime_s"] += tt
-        total += tt
-        leaf = path.replace("\\", "/").rsplit("/", 1)[-1]
-        functions.append((tt, ct, nc, f"{bucket}:{leaf}:{line}:{func}"))
-    functions.sort(key=lambda item: (-item[0], item[3]))
-    subsystems = {}
-    for bucket in sorted(buckets):
-        agg = buckets[bucket]
-        subsystems[bucket] = {
-            "calls": int(agg["calls"]),
-            "tottime_s": round(agg["tottime_s"], 6),
-            "share": round(agg["tottime_s"] / total, 4) if total > 0 else 0.0,
-        }
-    return {
-        "total_s": round(total, 6),
-        "subsystems": subsystems,
-        "top_functions": [
-            {"func": name, "calls": int(nc),
-             "tottime_s": round(tt, 6), "cumtime_s": round(ct, 6)}
-            for tt, ct, nc, name in functions[:top]
-        ],
-    }
 
 
 def peak_rss_kb() -> int:

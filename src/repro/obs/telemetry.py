@@ -9,8 +9,8 @@ Two observers complement the per-request tracer:
     mark and the hot-timeout pool recycling rate, and -- with
     ``callsites=True`` -- attributes every enqueue to the subsystem
     call site that scheduled it (a ``sys._getframe`` walk, so it costs
-    real time and is off by default).  The fast-path layers (lan / cpu /
-    disk) also report hit/fallback counts here.
+    real time and is off by default).  The fast sites (lan / cpu / disk /
+    cache_hit) also report hit/fallback counts here.
 
 ``TelemetrySampler``
     A fixed-window time-series sampler.  It is driven from
@@ -27,7 +27,7 @@ never create events, never mutate observed structures, and their
 deterministic exports (sorted-key JSONL, Prometheus text format) are
 byte-identical across runs and ``PYTHONHASHSEED`` values.  Host-side
 quantities (peak RSS) are kept out of the deterministic exports and only
-appear in human-facing renderings and bench reports.
+appear in human-facing renderings.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class KernelStats:
         self.pool_misses = 0
         #: per-layer fast-path decisions: layer -> [hits, fallbacks]
         self.fast_path: dict[str, list[int]] = {}
-        #: same-timestamp dispatch batches (calendar queue only)
+        #: same-timestamp dispatch batches; every fired event belongs to
+        #: exactly one once ``Simulator.run`` has returned
         self.batches = 0
         self.batched_events = 0
         self.max_batch = 0

@@ -8,7 +8,7 @@ distributor, management system) are built as processes on top of this module.
 Concepts
 --------
 ``Simulator``
-    Owns the virtual clock and the event heap.  ``run()`` pops events in
+    Owns the virtual clock and the event queue.  ``run()`` pops events in
     timestamp order and fires their callbacks.
 ``SimEvent``
     A one-shot occurrence.  Processes *yield* events to suspend until the
@@ -69,7 +69,7 @@ class SimEvent:
     """A one-shot event that processes can wait on.
 
     An event moves through three stages: *pending* (just created),
-    *triggered* (``succeed``/``fail`` called and the event is on the heap),
+    *triggered* (``succeed``/``fail`` called and the event is queued),
     and *processed* (callbacks have run).  Triggering twice is an error --
     events are strictly one-shot.
     """
@@ -335,7 +335,7 @@ class _Condition(SimEvent):
     def _collect(self) -> dict:
         # Only events whose callbacks have run count as "happened" for the
         # purposes of a condition result: a Timeout is *triggered* from
-        # birth (it is already on the heap) but has not occurred yet.
+        # birth (it is already queued) but has not occurred yet.
         return {ev: ev._value for ev in self.events
                 if ev.processed and ev._exception is None}
 
@@ -435,7 +435,7 @@ class Injection:
 
 
 class Simulator:
-    """The event loop: virtual clock plus a time-ordered event heap.
+    """The event loop: virtual clock plus a time-ordered event queue.
 
     With ``debug=True`` the engine accepts invariant checks (see
     :meth:`add_invariant`): zero-argument callables run periodically
@@ -449,30 +449,19 @@ class Simulator:
     monkeypatching any component.
     """
 
-    def __init__(self, debug: bool = False, fast_path: bool = False,
+    def __init__(self, debug: bool = False,
                  kernel_stats: Optional[Any] = None):
         self._now = 0.0
-        self._heap: list[tuple[float, int, SimEvent]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
         self.debug = debug
-        #: opt-in kernel fast path: resource primitives may grant
-        #: synchronously and collapse multi-event exchanges into a single
-        #: completion timeout when (and only when) the collapsed form is
-        #: observably identical to the event-by-event one.
-        self.fast_path = fast_path
-        #: queue backend selection, fixed at construction: the reference
-        #: engine keeps the flat heap; the fast path runs on the two-level
-        #: calendar queue (DESIGN §16).  The structures are proven
-        #: order-identical by tests/sim/test_calendar_queue.py.
-        self._use_calendar = bool(fast_path)
         #: calendar level 0: FIFO of events due at the *current* timestamp.
         #: Zero-delay enqueues land here in O(1) and drain in one batch.
         self._cur: deque[SimEvent] = deque()
         #: calendar level 1: exact-timestamp buckets (dict append is O(1))
         #: plus a heap of *distinct* pending timestamps.  Within a bucket,
-        #: append order is sequence order, so (time, seq) dispatch order is
-        #: identical to the reference heap by construction.
+        #: append order is sequence order, so events fire in (time, seq)
+        #: order by construction (DESIGN §16).
         self._buckets: dict[float, list[SimEvent]] = {}
         self._times: list[float] = []
         self._pending = 0
@@ -636,28 +625,22 @@ class Simulator:
     # -- scheduling ---------------------------------------------------------
     def _enqueue(self, delay: float, event: SimEvent) -> None:
         self._eid += 1
-        if self._use_calendar:
-            when = self._now + delay
-            if when <= self._now:
-                # Due at the current timestamp (zero delay, or a delay so
-                # small it rounds away): straight onto the level-0 FIFO.
-                self._cur.append(event)
+        when = self._now + delay
+        if when <= self._now:
+            # Due at the current timestamp (zero delay, or a delay so
+            # small it rounds away): straight onto the level-0 FIFO.
+            self._cur.append(event)
+        else:
+            bucket = self._buckets.get(when)
+            if bucket is None:
+                self._buckets[when] = [event]
+                heapq.heappush(self._times, when)
             else:
-                bucket = self._buckets.get(when)
-                if bucket is None:
-                    self._buckets[when] = [event]
-                    heapq.heappush(self._times, when)
-                else:
-                    bucket.append(event)
-            self._pending += 1
-            ks = self.kernel_stats
-            if ks is not None:
-                ks.on_scheduled(event, self._pending)
-            return
-        heapq.heappush(self._heap, (self._now + delay, self._eid, event))
+                bucket.append(event)
+        self._pending += 1
         ks = self.kernel_stats
         if ks is not None:
-            ks.on_scheduled(event, len(self._heap))
+            ks.on_scheduled(event, self._pending)
 
     def _enqueue_abs(self, when: float, event: SimEvent) -> None:
         """Schedule ``event`` at the absolute timestamp ``when``.
@@ -667,36 +650,27 @@ class Simulator:
         the kernel's hottest function.
         """
         self._eid += 1
-        if self._use_calendar:
-            if when <= self._now:
-                self._cur.append(event)
+        if when <= self._now:
+            self._cur.append(event)
+        else:
+            bucket = self._buckets.get(when)
+            if bucket is None:
+                self._buckets[when] = [event]
+                heapq.heappush(self._times, when)
             else:
-                bucket = self._buckets.get(when)
-                if bucket is None:
-                    self._buckets[when] = [event]
-                    heapq.heappush(self._times, when)
-                else:
-                    bucket.append(event)
-            self._pending += 1
-            ks = self.kernel_stats
-            if ks is not None:
-                ks.on_scheduled(event, self._pending)
-            return
-        heapq.heappush(self._heap, (when, self._eid, event))
+                bucket.append(event)
+        self._pending += 1
         ks = self.kernel_stats
         if ks is not None:
-            ks.on_scheduled(event, len(self._heap))
+            ks.on_scheduled(event, self._pending)
 
     def _cancel_scheduled(self, event: SimEvent, when: float) -> bool:
         """Remove a not-yet-fired event from the calendar by handle.
 
         Unlike lazy tombstoning, the entry is gone immediately: it will not
-        fire, not count as a batch member, and not occupy queue space.  Only
-        the calendar backend supports this (the fast path is its sole
-        client); returns False when the event is not found at ``when``.
+        fire, not count as a batch member, and not occupy queue space.
+        Returns False when the event is not found at ``when``.
         """
-        if not self._use_calendar:
-            return False
         if when <= self._now:
             container: Any = self._cur
         else:
@@ -733,19 +707,17 @@ class Simulator:
     # -- running -------------------------------------------------------------
     def peek(self) -> float:
         """Timestamp of the next event, or ``inf`` if the queue is empty."""
-        if self._use_calendar:
-            if self._cur:
-                return self._now
-            times, buckets = self._times, self._buckets
-            while times:
-                when = times[0]
-                if buckets.get(when):
-                    return when
-                # Bucket fully cancelled: drop the stale timestamp key.
-                heapq.heappop(times)
-                buckets.pop(when, None)
-            return float("inf")
-        return self._heap[0][0] if self._heap else float("inf")
+        if self._cur:
+            return self._now
+        times, buckets = self._times, self._buckets
+        while times:
+            when = times[0]
+            if buckets.get(when):
+                return when
+            # Bucket fully cancelled: drop the stale timestamp key.
+            heapq.heappop(times)
+            buckets.pop(when, None)
+        return float("inf")
 
     def idle_now(self) -> bool:
         """True when no other event is due at the current instant.
@@ -753,10 +725,7 @@ class Simulator:
         A 0-delay event scheduled now would then fire next, so a caller
         may run its work inline instead, in the same order.
         """
-        if self._use_calendar:
-            return not self._cur
-        heap = self._heap
-        return not heap or heap[0][0] > self._now
+        return not self._cur
 
     # -- debug invariants -----------------------------------------------------
     def add_invariant(self, check: Callable[[], None],
@@ -823,7 +792,7 @@ class Simulator:
     @property
     def heap_depth(self) -> int:
         """Number of events currently pending in the queue."""
-        return self._pending if self._use_calendar else len(self._heap)
+        return self._pending
 
     def _advance(self) -> bool:
         """Move the earliest non-empty bucket onto the level-0 FIFO.
@@ -847,17 +816,13 @@ class Simulator:
 
     def step(self) -> None:
         """Pop and fire exactly one event."""
-        if self._use_calendar:
-            cur = self._cur
-            if not cur:
-                if not self._advance():
-                    raise IndexError("step() on an empty event queue")
-            event = cur.popleft()
-            self._pending -= 1
-            self._batch_n += 1
-        else:
-            when, _eid, event = heapq.heappop(self._heap)
-            self._now = when
+        cur = self._cur
+        if not cur:
+            if not self._advance():
+                raise IndexError("step() on an empty event queue")
+        event = cur.popleft()
+        self._pending -= 1
+        self._batch_n += 1
         event._fire()
         # Recycle pooled timeouts: every waiter resumed synchronously
         # inside _fire(), so nothing can reference the event afterwards.
@@ -947,15 +912,15 @@ class Simulator:
             raise ValueError(f"until={until} is in the past (now={self._now})")
         self._horizon = float("inf") if until is None else until
         try:
-            if self._use_calendar:
-                self._run_calendar(until)
-            else:
-                while self._heap:
-                    if until is not None and self._heap[0][0] > until:
-                        break
-                    self.step()
+            self._run_calendar(until)
         except StopSimulation:
             pass
+        # Close the batch in flight: on_batch otherwise fires only when
+        # the clock advances, which the last batch of a run never sees.
+        ks = self.kernel_stats
+        if ks is not None and self._batch_n:
+            ks.on_batch(self._batch_n)
+        self._batch_n = 0
         if until is not None:
             self._now = max(self._now, until)
 

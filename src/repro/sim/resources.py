@@ -49,7 +49,7 @@ class Request(SimEvent):
         self.requested_at = resource.sim._now
         self.granted_at: Optional[float] = None
         self.cancelled = False
-        #: grant-and-hold duration (fast path only; see Resource.request)
+        #: grant-and-hold duration (see Resource.request)
         self.hold: Optional[float] = None
 
     def cancel(self) -> None:
@@ -78,10 +78,10 @@ class Resource:
         self._busy_integral = 0.0
         self._last_change = sim.now
         self._created_at = sim.now
-        #: active segmented hold (fast path only):
+        #: active segmented hold:
         #: (holder request, boundary time, pooled timeout, fire time)
         self._seg: Optional[tuple] = None
-        #: recycled Request objects (fast path only; see :meth:`release`)
+        #: recycled Request objects (see :meth:`release`)
         self._req_pool: list[Request] = []
 
     # -- metrics ------------------------------------------------------------
@@ -129,11 +129,11 @@ class Resource:
                 hold: Optional[float] = None) -> Request:
         """Ask for one unit of the resource.  Yield the returned event.
 
-        ``hold`` (fast path only) is the *grant-and-hold* collapse: when
-        the caller already knows it will hold the unit for exactly
-        ``hold`` seconds and then release, the grant event is scheduled
-        directly at ``grant_time + hold`` instead of waking the owner at
-        the grant just so it can arm the same timer.  One event and one
+        ``hold`` is the *grant-and-hold* collapse: when the caller
+        already knows it will hold the unit for exactly ``hold`` seconds
+        and then release, the grant event is scheduled directly at
+        ``grant_time + hold`` instead of waking the owner at the grant
+        just so it can arm the same timer.  One event and one
         resume replace two of each; the grant bookkeeping (wait time,
         utilization integral) still happens at the grant instant, so
         every digested counter is byte-identical to the two-step path.
@@ -192,7 +192,7 @@ class Resource:
         users.append(req)
         return req
 
-    # -- segmented holds (fast path only) ------------------------------------
+    # -- segmented holds -----------------------------------------------------
     def hold_segmented(self, request: Request, first_delay: float,
                        second_delay: float) -> Timeout:
         """Collapse two back-to-back holds by ``request``'s owner into one
@@ -258,7 +258,7 @@ class Resource:
         del users[idx]
         if self.queue:
             self._grant()
-        if self.sim.fast_path and type(request) is Request:
+        if type(request) is Request:
             # The handle is dead past this point by contract; recycle it.
             self._req_pool.append(request)
 

@@ -130,15 +130,10 @@ class TraceReplayer:
         self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
         started = self.sim.now
         try:
-            if self.sim.fast_path:
-                # open-loop arrivals are never interrupted mid-flight, so
-                # the spawn/join pair (3 events) collapses to an inline call
-                outcome = yield from self.submit(
-                    HttpRequest(entry.url, client_id="trace"), self.nic)
-            else:
-                outcome = yield self.sim.process(
-                    self.submit(HttpRequest(entry.url, client_id="trace"),
-                                self.nic))
+            # open-loop arrivals are never interrupted mid-flight, so
+            # the spawn/join pair (3 events) collapses to an inline call
+            outcome = yield from self.submit(
+                HttpRequest(entry.url, client_id="trace"), self.nic)
         except Interrupt:
             self.in_flight -= 1
             return

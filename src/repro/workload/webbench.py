@@ -58,9 +58,6 @@ class WebBenchClient:
         self.think_time = think_time
         self.rng = rng or RngStream(0, f"client/{client_id}")
         self.stats = ClientStats()
-        #: think-time waits served by the pooled O(1) timer (fast path
-        #: only; observability counter, mirrors ``Lan.fast_transfers``)
-        self.fast_thinks = 0
         self._drain = False
         self.process = sim.process(self._run(), name=f"wb:{client_id}")
 
@@ -109,13 +106,8 @@ class WebBenchClient:
                     yield self.sim.timeout(retry_after)
             if self.think_time > 0:
                 delay = self.rng.expovariate(1.0 / self.think_time)
-                if self.sim.fast_path:
-                    # O(1) collapse: the wait stays a single scheduled
-                    # event, served from the kernel's recycled-timer pool
-                    self.fast_thinks += 1
-                    yield self.sim.hot_timeout(delay)
-                else:
-                    yield self.sim.timeout(delay)
+                # a single scheduled event from the recycled-timer pool
+                yield self.sim.hot_timeout(delay)
 
     def stop(self) -> None:
         if self.process.is_alive:

@@ -157,38 +157,6 @@ def test_gate002_conditional_expression_guard():
     ) == []
 
 
-# -- GATE003: fast-path fallback ---------------------------------------
-
-def test_gate003_fast_path_without_fallback():
-    found = codes(
-        "class Node:\n"
-        "    def run(self):\n"
-        "        if self.sim.fast_path:\n"
-        "            return self._fast()\n")
-    assert [c for c, _ in found] == ["GATE003"]
-
-
-def test_gate003_with_fallback_is_clean():
-    assert codes(
-        "class Node:\n"
-        "    def run(self):\n"
-        "        if self.sim.fast_path:\n"
-        "            return self._fast()\n"
-        "        return self._slow()\n"
-    ) == []
-
-
-def test_gate003_mutation_removing_fallback_trips():
-    good = ("class Node:\n"
-            "    def run(self):\n"
-            "        if self.sim.fast_path:\n"
-            "            return self._fast()\n"
-            "        return self._slow()\n")
-    assert codes(good) == []
-    mutated = good.replace("        return self._slow()\n", "")
-    assert [c for c, _ in codes(mutated)] == ["GATE003"]
-
-
 # -- GATE004: use under a known-None gate ------------------------------
 
 def test_gate004_use_in_none_branch():

@@ -15,6 +15,8 @@ from repro.net.http import HttpVersion
 from repro.net.tcp import TcpSocket
 from repro.sim import Simulator
 
+from ..experiments.oracle import forced_fallback
+
 MSS = 1460
 
 
@@ -42,6 +44,50 @@ class TestSendData:
 
         sim.process(go())
         sim.run()
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_burst_on_the_wire(self, reference):
+        """A multi-segment message leaves as one aggregated segment
+        standing for its fragments; under the reference fixture, as one
+        segment per fragment with the payload on the last.  A message
+        that fits one segment is sent plainly either way."""
+        def wire_log():
+            sim = Simulator()
+            net = Network(sim)
+            wire = []
+            deliver = net.send
+
+            def recording_send(seg):
+                wire.append((seg.payload_len, seg.frags, seg.payload))
+                deliver(seg)
+
+            net.send = recording_send
+            client, server = Host(net, "10.0.0.2"), Host(net, "10.0.0.1")
+            server.listen(80, lambda sock: None)
+            sock = client.socket()
+
+            def go():
+                yield sock.connect(Address("10.0.0.1", 80))
+                del wire[:]
+                assert sock.send_data("small", 800, mss=1000) == 1
+                assert sock.send_data("big", 3500, mss=1000) == 4
+
+            sim.process(go())
+            sim.run()
+            data = [seg for seg in wire if seg[0]]
+            return data, net.segments_sent, net.flow_forwards
+
+        if reference:
+            with forced_fallback():
+                data, _, forwards = wire_log()
+            assert data == [(800, 1, "small"), (1000, 1, None),
+                            (1000, 1, None), (1000, 1, None),
+                            (500, 1, "big")]
+            assert forwards == 0
+        else:
+            data, _, forwards = wire_log()
+            assert data == [(800, 1, "small"), (3500, 4, "big")]
+            assert forwards == 1
 
     def test_validation(self, sim, net):
         client, server = Host(net, "10.0.0.2"), Host(net, "10.0.0.1")

@@ -7,13 +7,16 @@ instant, right away.  Either way every segment is emitted in the same
 order as before.  These tests pin that order where it is most fragile:
 many clients connecting at the same instant, pool legs too few for
 them (waits and hand-overs), refused requests (RST), HTTP/1.0 FIN
-relaying and MSS-fragmented responses, on both engine paths.
+relaying and MSS-fragmented responses, both plainly and on the
+event-accurate reference (:func:`~tests.experiments.oracle.forced_fallback`,
+one segment per MSS fragment).
 
 The golden digests cover the full wire log in emission order, the
 client-side outcomes, the splice trace and the pool-leg cursors; they
 were recorded with the process-driven distributor.
 """
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -29,6 +32,8 @@ from repro.net import (Address, Host, HttpRequest, HttpResponse, HttpVersion,
 from repro.obs import Tracer
 from repro.sim import Simulator
 
+from ..experiments.oracle import forced_fallback
+
 #: response sizes per document; the large one fragments to 14 segments
 SIZES = {"/a.html": 900, "/b.html": 20000, "/c.html": 3000}
 #: per client: (url, HTTP version) fetched back to back; /ghost.html is
@@ -42,9 +47,10 @@ PLANS = [
     [("/c.html", HttpVersion.HTTP_1_1), ("/a.html", HttpVersion.HTTP_1_1)],
 ]
 
-#: one digest per engine path: under same-instant leg contention the
-#: fast path's aggregated bursts hand legs over in a different order than
-#: the segment path does, so the two paths are pinned separately
+#: keyed by "fast": False is the reference run under forced_fallback().
+#: Under same-instant leg contention aggregated bursts hand legs over in
+#: a different order than per-fragment segments do, so the two are
+#: pinned separately
 GOLDEN = {
     False: "cb841afb913cc7af9327a0934b5f4691de6573644d0008dbce0df3bb15100ee4",
     True: "8dd618ada18a72f684f8222e278510059fe867c6cd725e8c49e5684d6c95bf12",
@@ -58,9 +64,9 @@ def fresh_isns() -> None:
     repro.core.splicer._isns = itertools.count(5_000_000, 2741)
 
 
-def run_scenario(fast_path: bool) -> dict:
+def run_scenario() -> dict:
     fresh_isns()
-    sim = Simulator(fast_path=fast_path)
+    sim = Simulator()
     net = Network(sim)
     wire = []
     deliver = net.send
@@ -152,12 +158,13 @@ def _restore_isns(monkeypatch):
     monkeypatch.setattr(repro.core.splicer, "_isns", repro.core.splicer._isns)
 
 
-@pytest.mark.parametrize("fast_path", [False, True])
-def test_wire_order_matches_process_driven_splicer(fast_path):
-    run = run_scenario(fast_path)
+@pytest.mark.parametrize("fast", [False, True])
+def test_wire_order_matches_process_driven_splicer(fast):
+    with contextlib.nullcontext() if fast else forced_fallback():
+        run = run_scenario()
     # the scenario really exercises what it claims to
     assert any(o[3] == "RST" for o in run["outcomes"])
     assert len(run["outcomes"]) == sum(len(p) for p in PLANS)
     assert run["open"] == 0 and run["idle"] == [1, 1]
-    assert digest(run) == GOLDEN[fast_path]
+    assert digest(run) == GOLDEN[fast]
 

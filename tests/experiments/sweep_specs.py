@@ -1,8 +1,8 @@
 """Shared sweep specs for the tests/experiments/test_sweep*.py battery.
 
 ``TINY_SPEC_DICT`` is the small matrix every determinism/resume/
-subprocess test reuses: two packet-level openloop cells (fast path
-off/on) and two request-level experiment cells (two seeds) -- four runs,
+subprocess test reuses: two packet-level openloop cells (two pool
+sizes) and two request-level experiment cells (two seeds) -- four runs,
 a couple of seconds serial, touching both the packet stack and the full
 testbed.
 """
@@ -18,7 +18,7 @@ TINY_SPEC_DICT = {
         {
             "target": "openloop",
             "base": {"rate": 150.0, "duration": 0.4, "seed": 42},
-            "axes": {"fast_path": [False, True]},
+            "axes": {"prefork": [4, 8]},
         },
         {
             "target": "cell",

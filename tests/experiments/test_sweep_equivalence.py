@@ -71,12 +71,10 @@ class TestHarnessEquivalence:
         assert result["peak_inflight"] == direct.admission_peak_inflight
 
     def test_openloop_matches_direct_bench_stage(self, tmp_path):
-        from repro.experiments.bench import run_openloop_splice
-        base = {"rate": 150.0, "duration": 0.4, "seed": 42,
-                "fast_path": True}
+        from repro.experiments.openloop import run_openloop_splice
+        base = {"rate": 150.0, "duration": 0.4, "seed": 42}
         result = _single_cell_result(tmp_path, "openloop", base)
-        direct = run_openloop_splice(rate=150.0, duration=0.4, seed=42,
-                                     fast_path=True)
+        direct = run_openloop_splice(rate=150.0, duration=0.4, seed=42)
         assert result["digest"] == direct["digest"]
         assert result["events"] == direct["events"]
         assert result["flow_forwards"] == direct["flow_forwards"]

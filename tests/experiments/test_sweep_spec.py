@@ -16,7 +16,7 @@ class TestExpansion:
     def test_cross_product_and_canonical_order(self):
         block = MatrixBlock.make(
             "openloop", base={"seed": 42},
-            axes={"rate": [100.0, 200.0], "fast_path": [False, True]})
+            axes={"rate": [100.0, 200.0], "prefork": [4, 8]})
         spec = SweepSpec.make("m", [block])
         cells = spec.cells()
         assert len(cells) == 4
@@ -26,9 +26,9 @@ class TestExpansion:
         assert rates == {100.0, 200.0}
 
     def test_cell_id_renders_json_literals(self):
-        cell = RunCell.make("cell", {"seed": 7, "fast_path": True,
+        cell = RunCell.make("cell", {"seed": 7, "prewarm": True,
                                      "workload": "A"})
-        assert cell.cell_id == 'cell[fast_path=true,seed=7,workload="A"]'
+        assert cell.cell_id == 'cell[prewarm=true,seed=7,workload="A"]'
 
     def test_run_id_independent_of_param_order(self):
         a = RunCell.make("cell", {"seed": 1, "clients": 4})

@@ -1,10 +1,8 @@
-"""Profile attribution: cProfile time bucketed into repo subsystems."""
-
-import cProfile
+"""Source-path attribution into repo subsystems, and peak RSS."""
 
 import pytest
 
-from repro.obs import attribute_profile, classify_path, peak_rss_kb
+from repro.obs import classify_path, peak_rss_kb
 
 pytestmark = pytest.mark.telemetry
 
@@ -29,36 +27,6 @@ class TestClassifyPath:
 
     def test_tests_bucket(self):
         assert classify_path("/x/tests/obs/test_profile.py") == "tests"
-
-
-class TestAttributeProfile:
-    def test_buckets_sum_and_sort(self):
-        from repro.experiments.bench import run_openloop_splice
-        profiler = cProfile.Profile()
-        profiler.enable()
-        run_openloop_splice(rate=100.0, duration=0.3, fast_path=True)
-        profiler.disable()
-        out = attribute_profile(profiler, top=5)
-        assert out["total_s"] > 0.0
-        # shares are rounded to 4 decimals, so the sum is 1 within
-        # half an ulp per bucket
-        shares = [b["share"] for b in out["subsystems"].values()]
-        assert abs(sum(shares) - 1.0) <= 5e-5 * len(shares) + 1e-9
-        # the workload runs through the sim kernel and the net stack
-        assert "sim" in out["subsystems"]
-        assert "net" in out["subsystems"]
-        assert len(out["top_functions"]) <= 5
-        tots = [f["tottime_s"] for f in out["top_functions"]]
-        assert tots == sorted(tots, reverse=True)
-
-    def test_top_function_names_carry_bucket(self):
-        profiler = cProfile.Profile()
-        profiler.enable()
-        sum(range(1000))
-        profiler.disable()
-        out = attribute_profile(profiler)
-        for func in out["top_functions"]:
-            assert func["func"].count(":") >= 2  # bucket:leaf:line:name
 
 
 def test_peak_rss_is_plausible():

@@ -16,7 +16,8 @@ import pytest
 
 from repro.experiments import ExperimentConfig, build_deployment
 from repro.experiments.chaos import run_overload_episode
-from repro.obs import telemetry_to_jsonl
+from repro.experiments.openloop import run_openloop_splice
+from repro.obs import KernelStats, telemetry_to_jsonl
 from repro.workload import WORKLOAD_A
 
 pytestmark = pytest.mark.telemetry
@@ -78,6 +79,8 @@ class TestReconciliation:
         assert stats["heap_high_water"] >= 1
         classes = dict(stats["event_classes"])
         assert classes.get("Timeout", 0) > 0
+        # the request-level fast sites report their hit/fallback split
+        assert "cpu" in stats["fast_path"]
 
 
 class TestDeploymentReconciliation:
@@ -109,6 +112,16 @@ class TestZeroPerturbation:
         assert sampled.shed == base.shed
         assert sampled.breaker_opened == base.breaker_opened
         assert sampled.error_statuses == base.error_statuses
+
+    def test_openloop_probe_keeps_digest(self):
+        """The packet path: a KernelStats probe changes no observable and
+        no event count."""
+        plain = run_openloop_splice(rate=100.0, duration=0.4)
+        probed = run_openloop_splice(rate=100.0, duration=0.4,
+                                     kernel_stats=KernelStats(
+                                         callsites=True))
+        assert probed["digest"] == plain["digest"]
+        assert probed["events"] == plain["events"]
 
 
 _SUBPROCESS_SNIPPET = """

@@ -1,21 +1,99 @@
-"""Property tests: the calendar queue dispatches identically to the heap.
+"""Property tests: the calendar queue dispatches identically to a heap.
 
-The fast-path engine replaces the flat ``heapq`` event list with a two-level
-calendar queue (level 0: FIFO for the current timestamp; level 1: per-exact-
-timestamp buckets indexed by a heap of distinct times).  DESIGN §16 claims
-the two structures produce *identical* (time, seq) dispatch orders.  These
-tests drive randomized schedule / cancel / reschedule scripts through both
-backends and require the observed fire orders to match event for event,
-including same-timestamp FIFO ties and handle reuse after cancellation.
+The engine's event queue is a two-level calendar queue (level 0: FIFO for
+the current timestamp; level 1: per-exact-timestamp buckets indexed by a
+heap of distinct times).  DESIGN §16 claims it produces the same
+(time, seq) dispatch order as a flat ``heapq`` of ``(time, seq, event)``
+triples.  :class:`HeapSimulator` is that flat heap, kept here as the
+reference.  These tests drive randomized schedule / cancel / reschedule
+scripts through both and require the observed fire orders to match event
+for event, including same-timestamp FIFO ties and handle reuse after
+cancellation.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
+from typing import Any, Optional
 
 import pytest
 
-from repro.sim.engine import Simulator, Timeout
+from repro.obs.telemetry import KernelStats
+from repro.sim.engine import SimEvent, Simulator, StopSimulation, Timeout
+
+
+class HeapSimulator(Simulator):
+    """The simulator on a flat binary heap of ``(time, seq, event)``.
+
+    The reference queue: every ordering property of the calendar queue
+    is checked against it.  It has no cancel-by-handle.
+    """
+
+    def __init__(self, debug: bool = False,
+                 kernel_stats: Optional[Any] = None):
+        super().__init__(debug=debug, kernel_stats=kernel_stats)
+        self._heap: list[tuple[float, int, SimEvent]] = []
+
+    def _enqueue(self, delay: float, event: SimEvent) -> None:
+        self._eid += 1
+        heapq.heappush(self._heap, (self._now + delay, self._eid, event))
+        ks = self.kernel_stats
+        if ks is not None:
+            ks.on_scheduled(event, len(self._heap))
+
+    def _enqueue_abs(self, when: float, event: SimEvent) -> None:
+        self._eid += 1
+        heapq.heappush(self._heap, (when, self._eid, event))
+        ks = self.kernel_stats
+        if ks is not None:
+            ks.on_scheduled(event, len(self._heap))
+
+    def _cancel_scheduled(self, event: SimEvent, when: float) -> bool:
+        return False
+
+    def peek(self) -> float:
+        return self._heap[0][0] if self._heap else float("inf")
+
+    def idle_now(self) -> bool:
+        heap = self._heap
+        return not heap or heap[0][0] > self._now
+
+    @property
+    def heap_depth(self) -> int:
+        return len(self._heap)
+
+    def step(self) -> None:
+        when, _eid, event = heapq.heappop(self._heap)
+        self._now = when
+        event._fire()
+        # Recycle pooled timeouts: every waiter resumed synchronously
+        # inside _fire(), so nothing can reference the event afterwards.
+        if type(event) is Timeout and event._pooled:
+            self._timeout_pool.append(event)
+        ks = self.kernel_stats
+        if ks is not None:
+            ks.on_fired(event)
+        tel = self.telemetry
+        if tel is not None:
+            tel.on_event(self._now)
+        if self._invariants:
+            self._run_invariants()
+
+    def run(self, until: Optional[float] = None) -> None:
+        if until is not None and until < self._now:
+            raise ValueError(f"until={until} is in the past (now={self._now})")
+        self._horizon = float("inf") if until is None else until
+        try:
+            while self._heap:
+                if until is not None and self._heap[0][0] > until:
+                    break
+                self.step()
+        except StopSimulation:
+            pass
+        if until is not None:
+            self._now = max(self._now, until)
+
 
 # Times are drawn from a coarse grid so same-timestamp ties are common --
 # ties are exactly where a broken tie-break would show up.
@@ -43,9 +121,9 @@ def _make_script(seed: int, n: int) -> list[dict]:
     return ops
 
 
-def _run_script(fast_path: bool, script: list[dict]) -> list[tuple]:
-    """Execute the script on one backend; return the observed fire order."""
-    sim = Simulator(fast_path=fast_path)
+def _run_script(heap: bool, script: list[dict]) -> list[tuple]:
+    """Execute the script on one queue; return the observed fire order."""
+    sim = HeapSimulator() if heap else Simulator()
     order: list[tuple] = []
     live: dict[str, tuple] = {}  # label -> (event, fire_time)
     dead: set[str] = set()
@@ -62,13 +140,12 @@ def _run_script(fast_path: bool, script: list[dict]) -> list[tuple]:
         ev, when = live.get(label, (None, 0.0))
         if ev is None or when <= sim.now:
             return
-        if fast_path:
-            # Real removal by handle on the calendar backend.
-            if sim._cancel_scheduled(ev, when):
-                dead.add(label)
-        else:
+        if heap:
             # The heap has no cancellation; emulate by muting the callback
             # so the surviving order is comparable.
+            dead.add(label)
+        elif sim._cancel_scheduled(ev, when):
+            # Real removal by handle on the calendar queue.
             dead.add(label)
 
     for op in script:
@@ -93,29 +170,28 @@ def _run_script(fast_path: bool, script: list[dict]) -> list[tuple]:
 @pytest.mark.parametrize("seed", range(8))
 def test_random_schedule_cancel_reschedule_order_identical(seed):
     script = _make_script(seed, n=120)
-    heap_order = _run_script(False, script)
-    cal_order = _run_script(True, script)
+    heap_order = _run_script(True, script)
+    cal_order = _run_script(False, script)
     assert cal_order == heap_order
     assert heap_order, "script produced no events"
 
 
 def test_same_timestamp_ties_are_fifo_on_both_backends():
-    for fast in (False, True):
-        sim = Simulator(fast_path=fast)
+    for sim in (HeapSimulator(), Simulator()):
         seen: list[str] = []
         # All land on t=1.0; insertion order must be preserved.
         for name in "abcdefgh":
             sim.schedule(1.0, lambda n=name: seen.append(n))
         sim.run()
-        assert seen == list("abcdefgh"), fast
+        assert seen == list("abcdefgh"), type(sim).__name__
 
 
 def test_zero_delay_chain_drains_within_one_batch_in_order():
     """Events enqueued at the current timestamp fire after earlier peers
-    but before any later timestamp, in enqueue order — on both backends."""
+    but before any later timestamp, in enqueue order — on both queues."""
     results = {}
-    for fast in (False, True):
-        sim = Simulator(fast_path=fast)
+    for heap in (True, False):
+        sim = HeapSimulator() if heap else Simulator()
         seen: list[str] = []
 
         def chain() -> None:
@@ -127,13 +203,13 @@ def test_zero_delay_chain_drains_within_one_batch_in_order():
         sim.schedule(1.0, lambda: seen.append("peer"))
         sim.schedule(1.25, lambda: seen.append("later"))
         sim.run()
-        results[fast] = seen
-    assert results[True] == results[False]
-    assert results[True] == ["chain", "peer", "child1", "child2", "later"]
+        results[heap] = seen
+    assert results[False] == results[True]
+    assert results[False] == ["chain", "peer", "child1", "child2", "later"]
 
 
 def test_cancel_by_handle_removes_pending_entry():
-    sim = Simulator(fast_path=True)
+    sim = Simulator()
     fired: list[str] = []
     keep = sim.schedule(1.0, lambda: fired.append("keep"))
     drop = sim.schedule(1.0, lambda: fired.append("drop"))
@@ -151,7 +227,7 @@ def test_cancelled_handle_reuse_via_timeout_pool():
     """A cancelled pooled timeout can be recycled and re-issued without
     double-firing or perturbing dispatch order (the segmented-hold split
     in resources.py relies on exactly this)."""
-    sim = Simulator(fast_path=True)
+    sim = Simulator()
     t = sim.hot_timeout(2.0)
     woke: list[float] = []
     t.add_callback(lambda ev: woke.append(sim.now))
@@ -167,8 +243,7 @@ def test_cancelled_handle_reuse_via_timeout_pool():
 
 
 def test_peek_and_depth_parity_across_backends():
-    for fast in (False, True):
-        sim = Simulator(fast_path=fast)
+    for sim in (HeapSimulator(), Simulator()):
         assert sim.peek() == float("inf")
         sim.schedule(2.0, lambda: None)
         sim.schedule(0.5, lambda: None)
@@ -183,7 +258,7 @@ def test_peek_and_depth_parity_across_backends():
 
 
 def test_peek_skips_fully_cancelled_buckets():
-    sim = Simulator(fast_path=True)
+    sim = Simulator()
     only = sim.schedule(1.0, lambda: None)
     sim.schedule(3.0, lambda: None)
     assert sim._cancel_scheduled(only, 1.0)
@@ -196,23 +271,21 @@ def test_run_until_boundary_parity():
     script = _make_script(seed=99, n=60)
     for until in (1.0, 2.5, 7.0):
         results = {}
-        for fast in (False, True):
-            sim = Simulator(fast_path=fast)
+        for heap in (True, False):
+            sim = HeapSimulator() if heap else Simulator()
             seen: list[tuple] = []
             for op in script:
                 sim.schedule(op["at"] + op["delay"],
                              lambda lb=op["label"]: seen.append(
                                  (round(sim.now, 6), lb)))
             sim.run(until=until)
-            results[fast] = (seen, sim.now)
-        assert results[True] == results[False], until
+            results[heap] = (seen, sim.now)
+        assert results[False] == results[True], until
 
 
 def test_step_fires_one_event_and_counts_batches():
-    from repro.obs.telemetry import KernelStats
-
     ks = KernelStats()
-    sim = Simulator(fast_path=True, kernel_stats=ks)
+    sim = Simulator(kernel_stats=ks)
     seen: list[str] = []
     for name in "abc":
         sim.schedule(1.0, lambda n=name: seen.append(n))
@@ -231,8 +304,38 @@ def test_step_fires_one_event_and_counts_batches():
         sim.step()
 
 
+def test_batch_dispatch_counts_every_fired_event():
+    """The batch in flight when run() returns is reported too, so every
+    fired event belongs to exactly one reported batch."""
+    def fresh():
+        ks = KernelStats()
+        sim = Simulator(kernel_stats=ks)
+        for t in (1.0, 1.0, 2.0, 2.0, 2.0):
+            sim.timeout(t)
+        return sim, ks
+
+    sim, ks = fresh()
+    sim.run()
+    report = ks.report()
+    assert report["fired_total"] == 5
+    assert report["batch_dispatch"]["events"] == 5
+    assert report["batch_dispatch"]["batches"] == 2
+    assert report["batch_dispatch"]["max"] == 3
+
+    sim, ks = fresh()
+    sim.run(until=1.5)
+    report = ks.report()
+    assert report["fired_total"] == 2
+    assert report["batch_dispatch"] == {"batches": 1, "events": 2,
+                                        "max": 2, "avg": 2.0}
+    sim.run(until=2.0)
+    report = ks.report()
+    assert report["fired_total"] == 5
+    assert report["batch_dispatch"]["events"] == 5
+
+
 def test_timeout_pool_still_recycles_on_calendar_backend():
-    sim = Simulator(fast_path=True)
+    sim = Simulator()
 
     def proc():
         for _ in range(5):

@@ -4,6 +4,8 @@ import pytest
 
 from repro.sim import (AllOf, AnyOf, Interrupt, Simulator, StopSimulation)
 
+from .test_calendar_queue import HeapSimulator
+
 
 @pytest.fixture
 def sim():
@@ -41,9 +43,10 @@ class TestClockAndScheduling:
         sim.run()
         assert order == ["a", "b", "c"]
 
-    @pytest.mark.parametrize("fast_path", [False, True])
-    def test_call_later_shares_schedule_fifo_order(self, fast_path):
-        sim = Simulator(fast_path=fast_path)
+    # heap=True runs the property on the reference heap queue as well
+    @pytest.mark.parametrize("heap", [False, True])
+    def test_call_later_shares_schedule_fifo_order(self, heap):
+        sim = HeapSimulator() if heap else Simulator()
         order = []
         sim.schedule(1.0, lambda: order.append("a"))
         sim.call_later(1.0, order.append, "b")
@@ -53,9 +56,9 @@ class TestClockAndScheduling:
         assert order == ["early", "a", "b", "c"]
         assert sim.event_count == 4
 
-    @pytest.mark.parametrize("fast_path", [False, True])
-    def test_idle_now_sees_events_due_at_this_instant(self, fast_path):
-        sim = Simulator(fast_path=fast_path)
+    @pytest.mark.parametrize("heap", [False, True])
+    def test_idle_now_sees_events_due_at_this_instant(self, heap):
+        sim = HeapSimulator() if heap else Simulator()
         seen = []
         sim.call_later(1.0, lambda tag: seen.append((tag, sim.idle_now())),
                        "first")
@@ -68,9 +71,9 @@ class TestClockAndScheduling:
         # count as due now
         assert seen == [("first", False), ("last", True), ("alone", True)]
 
-    @pytest.mark.parametrize("fast_path", [False, True])
-    def test_idle_now_sees_zero_delay_work(self, fast_path):
-        sim = Simulator(fast_path=fast_path)
+    @pytest.mark.parametrize("heap", [False, True])
+    def test_idle_now_sees_zero_delay_work(self, heap):
+        sim = HeapSimulator() if heap else Simulator()
         seen = []
 
         def first(_):
