@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: verify test check check-deep chaos-smoke chaos chaos-overload \
-	trace telemetry telemetry-smoke golden bench-smoke sweep \
+	trace telemetry telemetry-smoke golden bench-smoke shapes sweep \
 	sweep-smoke recover recover-smoke
 
 ## The full tier-1 gate: unit/integration tests, the repro.analysis
@@ -49,6 +49,13 @@ telemetry-smoke:
 ## No wall-clock bound is asserted (CI hosts are slow and noisy).
 bench-smoke:
 	$(PYTHON) benchmarks/suite/run.py --smoke
+
+## The paper's shape claims: the assertions under benchmarks/ (Fig. 2-4,
+## the ablations, failover, open-loop latency, URL-table cost), run once
+## each without timing; the repository benchmark suite is separate.
+shapes:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks \
+		--ignore=benchmarks/suite --benchmark-disable
 
 ## Run the checked-in sweep spec across 4 workers (DESIGN §13); the
 ## merged report is byte-identical regardless of the worker count.

@@ -63,6 +63,32 @@ class RequestOutcome:
     retry_after: float = 0.0
 
 
+class _ServeRace:
+    """A backend serve racing its request timeout inside the submitting
+    process (see :meth:`Frontend._backend_serve`)."""
+
+    __slots__ = ("proc", "serve", "background")
+
+    def __init__(self, proc, serve: Generator):
+        if proc is None:
+            raise RuntimeError("a request-timeout race needs a process")
+        self.proc = proc
+        self.serve = serve
+        #: the serve's own process, once the timer has won
+        self.background = None
+
+    def on_timer(self, _timer) -> None:
+        """The timer fired first.  The serve drains in the background in
+        the submitter's callback slot; nobody waits for it, so it is
+        defused (a late failure must not take down the simulation).  The
+        submitter resumes at the tail of the instant, where the AnyOf
+        fired."""
+        background = self.proc.hand_over(self.serve)
+        background.defuse()
+        self.background = background
+        self.proc.interrupt(self)
+
+
 class Frontend:
     """Base class: owns the NIC/CPU, the mapping table, and the metrics."""
 
@@ -93,6 +119,8 @@ class Frontend:
         self.costs = costs
         self.nic = Nic(sim, spec.nic_mbps, name=f"{self.name}.nic")
         self.cpu = Cpu(sim, spec.cpu_mhz, name=self.name)
+        #: one teardown burst on this CPU (0 = no teardown cost)
+        self._teardown_s = self.cpu.scaled(costs.teardown_cpu)
         self.view = RoutingView(
             {nm: srv.spec.weight for nm, srv in servers.items()})
         self.mapping = MappingTable()
@@ -339,26 +367,23 @@ class Frontend:
                 backend = None
             # FIN handling happens after the response reaches the client;
             # it consumes front-end CPU but adds nothing to user latency
-            if self.costs.teardown_cpu:
+            if self._teardown_s:
                 core = self.cpu._core
-                duration = self.cpu.scaled(self.costs.teardown_cpu)
                 if core.can_acquire:
                     # a fire-and-forget teardown burst: a synchronous grant
                     # plus one scheduled release holds the CPU for the
                     # burst's window, with no process and no generator
                     req = core.try_acquire()
-                    self.sim.schedule(
-                        duration,
-                        lambda: self._teardown_done(req, duration))
+                    self.sim.call_later(self._teardown_s, self._teardown_done,
+                                        req)
                 else:
                     # Busy core: the teardown may not jump the queue -- it
                     # joins the core's FIFO after every event already
                     # scheduled for this instant, where a spawned
                     # process's _Initialize would fire.  A 0-delay
-                    # callback lands at that batch position, then queues
+                    # call lands at that batch position, then queues
                     # a grant-and-hold request.
-                    self.sim.schedule(
-                        0.0, lambda: self._teardown_enqueue(duration))
+                    self.sim.call_later(0.0, self._teardown_enqueue, core)
             return self._finish(entry, request, response, started, item,
                                 span=span)
         except BaseException:
@@ -376,25 +401,24 @@ class Frontend:
             if token is not None:
                 self.release_backend(backend, token)
 
-    def _teardown_done(self, req, duration: float) -> None:
+    def _teardown_done(self, req) -> None:
+        """End of a teardown burst: the scheduled release, or the grant
+        callback of a grant-and-hold request."""
         self.cpu._core.release(req)
-        self.cpu.busy_seconds += duration
+        self.cpu.busy_seconds += self._teardown_s
         self.cpu.bursts += 1
 
-    def _teardown_enqueue(self, duration: float) -> None:
+    def _teardown_enqueue(self, core) -> None:
         """Deferred half of the processless teardown.
 
         Runs where a spawned teardown process would have started; the
-        bookkeeping below mirrors Cpu.run exactly.
+        bookkeeping mirrors Cpu.run exactly.
         """
-        core = self.cpu._core
         req = core.try_acquire()
         if req is not None:
-            self.sim.schedule(duration,
-                              lambda: self._teardown_done(req, duration))
+            self.sim.call_later(self._teardown_s, self._teardown_done, req)
             return
-        req = core.request(hold=duration)
-        req.add_callback(lambda ev: self._teardown_done(req, duration))
+        core.request(hold=self._teardown_s).add_callback(self._teardown_done)
 
     def _backend_serve(self, server: BackendServer, request: HttpRequest,
                        item: Optional[ContentItem]) -> Generator:
@@ -406,22 +430,63 @@ class Frontend:
             # submit mid-serve, so the spawn bought only isolation that the
             # exception handling in _serve_spliced already provides)
             return (yield from server.serve(request, item))
-        proc = self.sim.process(server.serve(request, item))
-        # pooled race: the timer and the AnyOf come from (and return to)
-        # the kernel's recycling pools instead of being allocated per race
-        timer = self.sim.hot_timeout(ctl.config.request_timeout)
-        cond = self.sim.hot_any_of((proc, timer))
-        yield cond
-        self.sim.recycle_any_of(cond)
-        if proc.triggered:
-            return proc.value
-        # the backend is still chewing: abandon the splice (the distributor
-        # RSTs its side) and let the serve drain in the background -- the
-        # no-op callback marks the process observed so a late failure in it
-        # cannot take down the whole simulation
-        proc.add_callback(lambda ev: None)
-        self.metrics.counter("overload/timeout").increment()
-        raise RequestTimeout(server.name, ctl.config.request_timeout)
+        # The race runs in the submitting process, scheduled as a spawned
+        # serve raced through an AnyOf was.  Each 0-delay hop that model
+        # paid (the spawn's start, the serve's completion, the AnyOf
+        # trigger) is a pooled timeout only while something else is due
+        # this instant; otherwise it would fire next, so it runs inline.
+        sim = self.sim
+        timeout = ctl.config.request_timeout
+        race = _ServeRace(sim.active_process, server.serve(request, item))
+        hop = None if sim.idle_now() else sim.hot_timeout(0.0)
+        fire_at = sim.now + timeout
+        timer = sim.hot_timeout_at(fire_at)
+        timer.callbacks.append(race.on_timer)
+        if hop is not None:
+            yield hop
+        serve = race.serve
+        value = failure = None
+        while True:
+            try:
+                event = (serve.send(value) if failure is None
+                         else serve.throw(failure))
+            except StopIteration as stop:
+                value, failure = stop.value, None
+                break
+            except Exception as exc:
+                value, failure = None, exc
+                break
+            try:
+                value = yield event
+                failure = None
+            except Exception as exc:
+                if type(exc) is Interrupt and exc.cause is race:
+                    # the timer fired first (see _ServeRace.on_timer); a
+                    # serve that finished later this instant still counts
+                    if race.background.triggered:
+                        return race.background.value
+                    self.metrics.counter("overload/timeout").increment()
+                    raise RequestTimeout(server.name, timeout)
+                value, failure = None, exc
+        # the serve ended first
+        timer.callbacks = []
+        if fire_at <= sim.now:
+            # ... but the deadline is this instant, and its timer is still
+            # due: it fires before the serve's completion would have, so
+            # the AnyOf hop is taken from where the timer fires
+            yield timer
+        else:
+            # withdraw the timer instead of leaving it to fire dead, then
+            # take the completion hop
+            sim._cancel_scheduled(timer, fire_at)
+            sim._timeout_pool.append(timer)
+            if not sim.idle_now():
+                yield sim.hot_timeout(0.0)
+        if not sim.idle_now():
+            yield sim.hot_timeout(0.0)
+        if failure is not None:
+            raise failure
+        return value
 
     def _may_retry(self, attempts: int, trace_id=None) -> bool:
         ctl = self.overload

@@ -260,6 +260,30 @@ class Process(SimEvent):
         interrupt_event.add_callback(self._resume_cb)
         self.sim._enqueue(0.0, interrupt_event)
 
+    def hand_over(self, generator: Generator) -> "Process":
+        """Continue ``generator`` as a process of its own.
+
+        ``generator`` must be one this process drives by hand
+        (``send``/``throw``), suspended on the event this process waits
+        for.  The new process takes this process's callback slot on that
+        event, at the same list position, so the generator resumes
+        exactly when it would have; no start event is scheduled.  This
+        process is left waiting on nothing: interrupt it next, or it
+        never resumes.
+        """
+        proc = Process.__new__(Process)
+        SimEvent.__init__(proc, self.sim)
+        proc.name = getattr(generator, "__name__", "process")
+        proc._generator = generator
+        proc._resume_cb = proc._resume
+        target = self._target
+        if target is not None:
+            cbs = target.callbacks
+            cbs[cbs.index(self._resume_cb)] = proc._resume_cb
+        proc._target = target
+        self._target = None
+        return proc
+
     def _resume(self, event: SimEvent) -> None:
         self._target = None
         sim = self.sim
@@ -303,7 +327,9 @@ class Process(SimEvent):
             immediate.defuse()
             immediate.add_callback(self._resume_cb)
             sim._enqueue(0.0, immediate)
-            self._target = None
+            # the re-delivery holds the callback now: an interrupt must
+            # detach it, or the process would resume twice
+            self._target = immediate
         else:
             cbs.append(self._resume_cb)
             if next_event._exception is not None:
@@ -474,8 +500,6 @@ class Simulator:
         self._horizon = float("inf")
         #: recycled one-shot timeouts for :meth:`hot_timeout`
         self._timeout_pool: list[Timeout] = []
-        #: recycled AnyOf conditions for :meth:`hot_any_of`
-        self._anyof_pool: list[AnyOf] = []
         #: registered checks as mutable [check, every, countdown] triples
         self._invariants: list[list] = []
         #: fault injections registered via :meth:`add_injection`
@@ -573,44 +597,6 @@ class Simulator:
         if ks is not None:
             ks.on_pool_recycle(hit)
         return t
-
-    def hot_any_of(self, events: Iterable[SimEvent]) -> AnyOf:
-        """A pooled :class:`AnyOf` for high-churn race points.
-
-        Same contract as :meth:`hot_timeout`: the caller must hand the
-        condition back via :meth:`recycle_any_of` once its result has been
-        read, and must not keep a reference afterwards.  Falls back to a
-        fresh :class:`AnyOf` when the pool is empty.
-        """
-        pool = self._anyof_pool
-        ks = self.kernel_stats
-        if pool:
-            cond = pool.pop()
-            cond.callbacks = []
-            cond._value = _PENDING
-            cond._exception = None
-            cond._defused = False
-            cond.events = list(events)
-            cond._done = 0
-            check = cond._check
-            for ev in cond.events:
-                if ev.processed:
-                    check(ev)
-                else:
-                    ev.add_callback(check)
-            if ks is not None:
-                ks.on_pool_recycle(True)
-            return cond
-        if ks is not None:
-            ks.on_pool_recycle(False)
-        return AnyOf(self, events)
-
-    def recycle_any_of(self, cond: AnyOf) -> None:
-        """Return a processed :meth:`hot_any_of` condition to the pool."""
-        if type(cond) is AnyOf and cond.callbacks is None:
-            cond.events = []
-            cond._value = None  # drop the collected result graph
-            self._anyof_pool.append(cond)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from ``generator``."""

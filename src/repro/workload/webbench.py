@@ -22,8 +22,7 @@ from typing import Callable, Generator, Optional
 
 from ..content import ContentType
 from ..net import Nic
-from ..sim import (Histogram, Interrupt, RngStream, Simulator,
-                   ThroughputMeter)
+from ..sim import Histogram, RngStream, Simulator, ThroughputMeter
 from .sampler import RequestSampler
 
 __all__ = ["ClientStats", "WebBenchClient", "WebBenchRig"]
@@ -59,35 +58,57 @@ class WebBenchClient:
         self.rng = rng or RngStream(0, f"client/{client_id}")
         self.stats = ClientStats()
         self._drain = False
+        #: a request is in flight (between its sampling and its answer)
+        self._busy = False
+        #: stop() arrived mid-request: exit once the request returns
+        self._stopped = False
         self.process = sim.process(self._run(), name=f"wb:{client_id}")
 
     def drain(self) -> None:
         """Finish the in-flight request (if any), then exit the loop.
 
-        Unlike :meth:`stop`, draining never interrupts a request mid-
-        flight, so after the drain completes every request has either been
+        Unlike :meth:`stop`, draining records the in-flight request's
+        answer, so after the drain completes every request has either been
         answered or cleanly errored -- the chaos harness's first survival
         property.
         """
         self._drain = True
 
     def _run(self) -> Generator:
+        sim = self.sim
         while not self._drain:
             request = self.sampler.request(client_id=self.client_id,
-                                           now=self.sim.now)
+                                           now=sim.now)
+            # The request runs inline, scheduled as a spawned and joined
+            # submit process was: a 0-delay hop where its start event
+            # fired and one where its completion fired, each a pooled
+            # timeout only while something else is due this instant.
+            self._busy = True
+            failure = None
             try:
-                outcome = yield self.sim.process(
-                    self.submit(request, self.nic))
-            except Interrupt:
-                return  # stopped by the rig
-            except Exception:
+                submission = self.submit(request, self.nic)
+            except Exception as exc:
+                failure = exc  # refused before any process could start
+            else:
+                if not sim.idle_now():
+                    yield sim.hot_timeout(0.0)
+                try:
+                    outcome = yield from submission
+                except Exception as exc:
+                    failure = exc
+                if not sim.idle_now():
+                    yield sim.hot_timeout(0.0)
+            self._busy = False
+            if self._stopped:
+                return  # stopped mid-request: the answer goes unrecorded
+            if failure is not None:
                 # front end down (failover window) or mid-flight crash:
                 # a real client sees a connection error and retries
                 self.stats.errors += 1
-                self.rig.record_error(self.sim.now)
+                self.rig.record_error(sim.now)
                 if self._drain:
                     return
-                yield self.sim.timeout(RETRY_BACKOFF)
+                yield sim.timeout(RETRY_BACKOFF)
                 continue
             if outcome.response is not None and outcome.response.ok:
                 self.stats.completed += 1
@@ -97,20 +118,32 @@ class WebBenchClient:
                 self.stats.errors += 1
                 status = (outcome.response.status
                           if outcome.response is not None else None)
-                self.rig.record_error(self.sim.now, status=status)
+                self.rig.record_error(sim.now, status=status)
                 # a shed request carries Retry-After; honouring it is what
                 # keeps zero-think-time clients from hammering an already
                 # overloaded front end in a zero-delay loop
                 retry_after = getattr(outcome, "retry_after", 0.0)
                 if retry_after > 0:
-                    yield self.sim.timeout(retry_after)
+                    yield sim.timeout(retry_after)
             if self.think_time > 0:
                 delay = self.rng.expovariate(1.0 / self.think_time)
                 # a single scheduled event from the recycled-timer pool
-                yield self.sim.hot_timeout(delay)
+                yield sim.hot_timeout(delay)
 
     def stop(self) -> None:
-        if self.process.is_alive:
+        """End the client loop.
+
+        Between requests the loop is interrupted at once.  A request in
+        flight is not: an interrupt thrown into the front end's submit
+        chain could strand a queued resource request.  It finishes at the
+        front end instead, goes unrecorded, and the loop exits when it
+        returns.
+        """
+        if not self.process.is_alive:
+            return
+        if self._busy:
+            self._stopped = True
+        else:
             self.process.interrupt("stopped")
 
 

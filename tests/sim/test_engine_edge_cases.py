@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import KernelStats
 from repro.sim import AllOf, AnyOf, Interrupt, Resource, Simulator
 
 
@@ -193,6 +194,68 @@ class TestInterruptEdgeCases:
         sim.schedule(2.0, lambda: proc.interrupt("two"))
         sim.run()
         assert hits == ["one", "two"]
+
+    def test_interrupt_during_redelivery_resumes_once(self):
+        """Yielding an already-processed event waits on a re-delivery
+        event.  An interrupt in the same instant must detach the process
+        from it: the process sees only the Interrupt, keeps its return
+        value, and fires once (no timer armed in between can resume the
+        finished generator later)."""
+        stats = KernelStats()
+        sim = Simulator(kernel_stats=stats)
+        done = sim.event()
+        done.succeed("stale")
+        sim.run()
+        seen = []
+
+        def victim():
+            try:
+                seen.append((yield done))
+                yield sim.timeout(1.0)
+            except Interrupt as exc:
+                seen.append(exc.cause)
+            return "kept"
+
+        proc = sim.process(victim())
+        sim.schedule(0.0, lambda: proc.interrupt("now"))
+        sim.run()
+        assert seen == ["now"]
+        assert proc.value == "kept"
+        assert stats.fired["Process"] == 1
+
+
+class TestHandOver:
+    def test_background_process_takes_the_callback_slot(self, sim):
+        """A generator run by hand inside one process continues as a
+        process of its own, resuming where the outer process would have:
+        at its position in the event's callback list."""
+        gate = sim.event()
+        order = []
+
+        def served():
+            value = yield gate
+            order.append(("served", value))
+            return "served-done"
+
+        def bystander():
+            order.append(("bystander", (yield gate)))
+
+        def outer(gen):
+            yield gen.send(None)  # wait on the event the generator yields
+            order.append("outer resumed")  # pragma: no cover
+
+        sim.process(bystander())
+        inner = served()
+        proc = sim.process(outer(inner))
+        sim.process(bystander())
+        sim.run()
+        background = proc.hand_over(inner)
+        gate.succeed("go")
+        sim.run()
+        assert order == [("bystander", "go"), ("served", "go"),
+                         ("bystander", "go")]
+        assert background.value == "served-done"
+        assert proc.is_alive  # left waiting on nothing
 
 
 class TestSchedulingProperties:

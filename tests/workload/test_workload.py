@@ -3,7 +3,9 @@
 import pytest
 
 from repro.content import ContentType, generate_catalog
+from repro.experiments import ExperimentConfig, build_deployment
 from repro.net import HttpVersion
+from repro.obs import KernelStats
 from repro.sim import RngStream, Simulator
 from repro.workload import (WORKLOAD_A, WORKLOAD_B, RequestSampler,
                             WebBenchRig, WorkloadSpec)
@@ -227,3 +229,67 @@ class TestWebBenchRig:
         served = fe.served
         sim.run(until=1.5)
         assert fe.served <= served + 2  # at most in-flight ones finish
+
+    def test_requests_spawn_no_process(self):
+        """A client submits inline: no Process or _Initialize event per
+        request, only the clients' own start events."""
+        stats = KernelStats()
+        sim = Simulator(kernel_stats=stats)
+        fe = FakeFrontend(sim)
+        rig = self.make(sim, fe)
+        rig.start_clients(3)
+        sim.run(until=1.0)
+        classes = dict(stats.report(top=20)["event_classes"])
+        assert fe.served > 200
+        assert classes["_Initialize"] == 3
+        assert "Process" not in classes and "AnyOf" not in classes
+
+    def test_stop_mid_request_lets_it_finish_unrecorded(self):
+        sim = Simulator()
+        fe = FakeFrontend(sim, delay=1.0)
+        rig = self.make(sim, fe)
+        rig.start_clients(1)
+        sim.run(until=0.5)
+        [client] = rig.clients
+        client.stop()
+        sim.run(until=0.5)
+        assert client.process.is_alive  # nothing was thrown into the request
+        sim.run(until=2.0)
+        assert fe.served == 1
+        assert rig.meter.completions == 0 and rig.errors == 0
+        assert not client.process.is_alive
+
+    def test_stop_during_think_time_ends_client_at_once(self):
+        sim = Simulator()
+        fe = FakeFrontend(sim, delay=0.01)
+        rig = self.make(sim, fe, think=100.0)
+        rig.start_clients(1)
+        sim.run(until=0.5)
+        [client] = rig.clients
+        assert fe.served == 1 and client.process.is_alive  # thinking
+        client.stop()
+        sim.run(until=0.5)
+        assert not client.process.is_alive
+
+
+class TestStopOnRealFrontend:
+    def test_stopped_requests_finish_and_leave_nothing_behind(self):
+        """Stopping the rig mid-flight: each request in flight completes
+        at the front end, reaches no client record, and after a further
+        run no mapping entry or pool lease is left."""
+        dep = build_deployment(ExperimentConfig(
+            scheme="partition-ca", workload=WORKLOAD_A, seed=3,
+            duration=0.6, warmup=0.1, n_objects=120, n_client_machines=4))
+        dep.run(8)  # ends with rig.stop_clients()
+        fe, rig = dep.frontend, dep.rig
+        in_flight = fe.inflight
+        assert in_flight > 0
+        recorded = (rig.meter.completions, rig.errors)
+        served = fe.meter.completions
+        dep.sim.run(until=1.0)
+        assert fe.meter.completions == served + in_flight
+        assert (rig.meter.completions, rig.errors) == recorded
+        assert len(fe.mapping) == 0
+        assert all(pool.leased_count == 0
+                   for pool in fe.pools.pools().values())
+        assert not any(c.process.is_alive for c in rig.clients)
