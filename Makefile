@@ -2,8 +2,8 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: verify test check check-deep chaos-smoke chaos chaos-overload \
-	trace telemetry telemetry-smoke golden bench-smoke shapes sweep \
-	sweep-smoke recover recover-smoke
+	trace telemetry telemetry-smoke golden bench-smoke shapes examples \
+	sweep sweep-smoke recover recover-smoke
 
 ## The full tier-1 gate: unit/integration tests, the repro.analysis
 ## correctness passes, and the chaos smoke episodes.
@@ -56,6 +56,14 @@ bench-smoke:
 shapes:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks \
 		--ignore=benchmarks/suite --benchmark-disable
+
+## Run every script under examples/ (about a minute, most of it in
+## reproduce_paper.py); the first nonzero exit fails the target.
+examples:
+	@for script in examples/*.py; do \
+		echo "== $$script"; \
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) $$script || exit 1; \
+	done
 
 ## Run the checked-in sweep spec across 4 workers (DESIGN §13); the
 ## merged report is byte-identical regardless of the worker count.

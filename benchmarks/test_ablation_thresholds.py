@@ -19,7 +19,6 @@ from conftest import emit
 from repro.core import (AutoReplicator, LoadAccountant, LoadAwareReplica,
                         WeightedLeastConnection)
 from repro.experiments import ExperimentConfig, build_deployment
-from repro.mgmt import Broker, Controller
 from repro.workload import WORKLOAD_A, WORKLOAD_B, WorkloadSpec
 
 HOTSPOT = WorkloadSpec(
@@ -38,13 +37,7 @@ def run_threshold(threshold: float, duration=14.0, warmup=3.0, clients=50):
     accountant = LoadAccountant(
         {n: s.spec.weight for n, s in deployment.servers.items()})
     deployment.frontend.on_response = accountant.record
-    controller = Controller(deployment.sim, deployment.frontend.nic,
-                            deployment.url_table, deployment.doctree)
-    registry: dict[str, Broker] = {}
-    for server in deployment.servers.values():
-        controller.register_broker(Broker(
-            deployment.sim, deployment.lan, server,
-            deployment.frontend.nic, registry))
+    controller, _ = deployment.management_plane()
     replicator = AutoReplicator(deployment.sim, accountant,
                                 deployment.url_table, controller,
                                 interval=1.5, threshold=threshold,

@@ -17,7 +17,6 @@ from conftest import emit
 from repro.content import ContentType
 from repro.core import AutoReplicator, LoadAccountant
 from repro.experiments import ExperimentConfig, build_deployment
-from repro.mgmt import Broker, Controller
 from repro.workload import WORKLOAD_A, WorkloadSpec
 
 HOTSPOT = WorkloadSpec(
@@ -39,13 +38,7 @@ def run_cell(auto_replicate: bool, duration=16.0, warmup=4.0, clients=60):
     frontend.on_response = accountant.record
     replicator = None
     if auto_replicate:
-        controller = Controller(deployment.sim, frontend.nic,
-                                deployment.url_table, deployment.doctree)
-        registry: dict[str, Broker] = {}
-        for server in deployment.servers.values():
-            broker = Broker(deployment.sim, deployment.lan, server,
-                            frontend.nic, registry)
-            controller.register_broker(broker)
+        controller, _ = deployment.management_plane()
         replicator = AutoReplicator(
             deployment.sim, accountant, deployment.url_table, controller,
             interval=1.5, threshold=0.30, max_actions_per_interval=3)

@@ -11,7 +11,7 @@ exactly the §1.2 trade-off between partitioning and replication.
 from conftest import emit
 from repro.core import AutoReplicator, LoadAccountant
 from repro.experiments import ExperimentConfig, build_deployment
-from repro.mgmt import Broker, ClusterMonitor, Controller
+from repro.mgmt import ClusterMonitor
 from repro.workload import WORKLOAD_A
 
 CRASH_AT = 5.0
@@ -25,12 +25,7 @@ def run_failure_drill(clients=50):
                               n_objects=2500)
     deployment = build_deployment(config)
     sim = deployment.sim
-    controller = Controller(sim, deployment.frontend.nic,
-                            deployment.url_table, deployment.doctree)
-    registry: dict[str, Broker] = {}
-    for server in deployment.servers.values():
-        controller.register_broker(Broker(
-            sim, deployment.lan, server, deployment.frontend.nic, registry))
+    controller, _ = deployment.management_plane()
     monitor = ClusterMonitor(sim, controller, deployment.frontend.view,
                              interval=0.5, misses_to_fail=2)
     monitor.start()

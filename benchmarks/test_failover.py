@@ -8,8 +8,7 @@ and throughput recovers.
 """
 
 from conftest import emit
-from repro.cluster import distributor_spec
-from repro.core import ContentAwareDistributor, HaDistributorPair, UrlTable
+from repro.core import HaDistributorPair
 from repro.experiments import ExperimentConfig, build_deployment
 from repro.workload import WORKLOAD_A, RequestSampler, WebBenchRig
 from repro.sim import RngStream
@@ -27,11 +26,7 @@ def run_failover(clients=40):
     deployment = build_deployment(config)
     sim = deployment.sim
     primary = deployment.frontend
-    backup = ContentAwareDistributor(
-        sim, deployment.lan, distributor_spec(), deployment.servers,
-        UrlTable(), prefork=config.prefork,
-        max_pool_size=config.max_pool_size, warmup=config.warmup,
-        name="dist-backup")
+    backup = deployment.backup_distributor()
     # retry_attempts=0: this benchmark measures the *raw* outage window,
     # so clients must fail fast instead of riding out the takeover
     pair = HaDistributorPair(sim, primary, backup,

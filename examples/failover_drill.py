@@ -8,8 +8,7 @@ replicated on every heartbeat -- takes over and answers them.
 Run:  python examples/failover_drill.py
 """
 
-from repro.cluster import distributor_spec
-from repro.core import ContentAwareDistributor, HaDistributorPair, UrlTable
+from repro.core import HaDistributorPair
 from repro.experiments import ExperimentConfig, build_deployment
 from repro.sim import RngStream
 from repro.workload import WORKLOAD_A, WebBenchRig
@@ -25,10 +24,7 @@ def main():
     deployment = build_deployment(config)
     sim = deployment.sim
     primary = deployment.frontend
-    backup = ContentAwareDistributor(
-        sim, deployment.lan, distributor_spec(), deployment.servers,
-        UrlTable(), prefork=config.prefork, warmup=config.warmup,
-        name="dist-backup")
+    backup = deployment.backup_distributor()
     pair = HaDistributorPair(sim, primary, backup,
                              heartbeat_interval=0.25, misses_to_fail=3)
     rig = WebBenchRig(sim, pair.submit, deployment.sampler,

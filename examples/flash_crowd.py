@@ -20,7 +20,6 @@ import statistics
 
 from repro.core import AutoReplicator, LoadAccountant
 from repro.experiments import ExperimentConfig, build_deployment
-from repro.mgmt import Broker, Controller
 from repro.workload import WORKLOAD_A, WorkloadSpec
 
 FLASH = WorkloadSpec(
@@ -47,13 +46,7 @@ def run(auto: bool):
     deployment.frontend.on_response = accountant.record
     replicator = None
     if auto:
-        controller = Controller(deployment.sim, deployment.frontend.nic,
-                                deployment.url_table, deployment.doctree)
-        registry = {}
-        for server in deployment.servers.values():
-            controller.register_broker(Broker(
-                deployment.sim, deployment.lan, server,
-                deployment.frontend.nic, registry))
+        controller, _ = deployment.management_plane()
         replicator = AutoReplicator(
             deployment.sim, accountant, deployment.url_table, controller,
             interval=1.5, threshold=0.30, max_actions_per_interval=3)

@@ -90,11 +90,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep_clients(args: argparse.Namespace) -> int:
     workload = WORKLOAD_A if args.workload == "A" else WORKLOAD_B
-    result = sweep_clients(args.scheme, workload, args.clients,
+    points = sweep_clients(args.scheme, workload, args.clients,
                            seed=args.seed, duration=args.duration,
                            warmup=args.warmup, n_objects=args.objects)
-    write_csv(result, args.output)
-    print(f"wrote {len(result.rows)} rows to {args.output}")
+    write_csv(points, args.output)
+    print(f"wrote {len(points)} rows to {args.output}")
     return 0
 
 
@@ -201,24 +201,25 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if runner.all_survived else 1
 
 
-def cmd_overload(args: argparse.Namespace) -> int:
+def _overload_episode(args: argparse.Namespace, **observers):
+    """The overload episode at the scale the shared options chose."""
     from .experiments.chaos import run_overload_episode
-    result = run_overload_episode(
+    return run_overload_episode(
         seed=args.seed, duration=args.duration, clients=args.clients,
         n_objects=args.objects, settle=args.settle,
-        multiplier=args.multiplier, enabled=not args.disabled)
+        multiplier=args.multiplier, **observers)
+
+
+def cmd_overload(args: argparse.Namespace) -> int:
+    result = _overload_episode(args, enabled=not args.disabled)
     print(result.report())
     return 0 if result.survived else 1
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from .experiments.chaos import run_overload_episode
     from .obs import (TraceSummary, format_event, pick_waterfall_trace,
                       render_waterfall, to_chrome_trace, to_jsonl)
-    result = run_overload_episode(
-        seed=args.seed, duration=args.duration, clients=args.clients,
-        n_objects=args.objects, settle=args.settle,
-        multiplier=args.multiplier, trace=True)
+    result = _overload_episode(args, trace=True)
     tracer = result.tracer
     if args.jsonl:
         with open(args.jsonl, "w", encoding="utf-8") as fh:
@@ -246,13 +247,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_telemetry(args: argparse.Namespace) -> int:
-    from .experiments.chaos import run_overload_episode
     from .obs import (render_windows, telemetry_to_jsonl,
                       telemetry_to_prometheus)
-    result = run_overload_episode(
-        seed=args.seed, duration=args.duration, clients=args.clients,
-        n_objects=args.objects, settle=args.settle,
-        multiplier=args.multiplier, telemetry=args.window)
+    result = _overload_episode(args, telemetry=args.window)
     sampler = result.telemetry
     if args.jsonl:
         with open(args.jsonl, "w", encoding="utf-8") as fh:
@@ -273,13 +270,9 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    from .experiments.chaos import run_overload_episode
     from .obs import render_top, render_windows
-    result = run_overload_episode(
-        seed=args.seed, duration=args.duration, clients=args.clients,
-        n_objects=args.objects, settle=args.settle,
-        multiplier=args.multiplier, telemetry=args.window,
-        kernel_stats=True)
+    result = _overload_episode(args, telemetry=args.window,
+                               kernel_stats=True)
     if args.watch:
         print(render_windows(result.telemetry))
         print()
@@ -424,21 +417,29 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drain window after the load stops")
     p_cha.set_defaults(func=cmd_chaos)
 
+    def episode_opts(p, window: bool = False):
+        """The overload episode's scale, shared by the four commands
+        that run it; ``--window`` only where telemetry is sampled."""
+        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--duration", type=float, default=6.0,
+                       help="simulated seconds of load")
+        p.add_argument("--clients", type=int, default=10,
+                       help="steady closed-loop clients (the flash crowd "
+                            "multiplies this)")
+        p.add_argument("--multiplier", type=float, default=4.0,
+                       help="flash-crowd client multiplier")
+        p.add_argument("--objects", type=int, default=300)
+        p.add_argument("--settle", type=float, default=2.5,
+                       help="drain window after the load stops")
+        if window:
+            p.add_argument("--window", type=float, default=0.5,
+                           help="telemetry window length (sim seconds)")
+
     p_ovl = sub.add_parser("overload",
                            help="run the flash-crowd + slow-disk overload "
                                 "episode and check the graceful-degradation "
                                 "properties")
-    p_ovl.add_argument("--seed", type=int, default=1)
-    p_ovl.add_argument("--duration", type=float, default=6.0,
-                       help="simulated seconds of load")
-    p_ovl.add_argument("--clients", type=int, default=10,
-                       help="steady closed-loop clients (the flash crowd "
-                            "multiplies this)")
-    p_ovl.add_argument("--multiplier", type=float, default=4.0,
-                       help="flash-crowd client multiplier")
-    p_ovl.add_argument("--objects", type=int, default=300)
-    p_ovl.add_argument("--settle", type=float, default=2.5,
-                       help="drain window after the load stops")
+    episode_opts(p_ovl)
     p_ovl.add_argument("--disabled", action="store_true",
                        help="run the same episode with overload control "
                             "off (the unprotected baseline)")
@@ -447,14 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trc = sub.add_parser("trace",
                            help="run the overload episode with tracing on "
                                 "and inspect the resulting timeline")
-    p_trc.add_argument("--seed", type=int, default=1)
-    p_trc.add_argument("--duration", type=float, default=6.0,
-                       help="simulated seconds of load")
-    p_trc.add_argument("--clients", type=int, default=10)
-    p_trc.add_argument("--multiplier", type=float, default=4.0,
-                       help="flash-crowd client multiplier")
-    p_trc.add_argument("--objects", type=int, default=300)
-    p_trc.add_argument("--settle", type=float, default=2.5)
+    episode_opts(p_trc)
     p_trc.add_argument("--request", type=int, default=None,
                        help="waterfall this trace id (default: the trace "
                             "with the most events)")
@@ -471,22 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "chrome://tracing or Perfetto)")
     p_trc.set_defaults(func=cmd_trace)
 
-    def episode_opts(p):
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--duration", type=float, default=6.0,
-                       help="simulated seconds of load")
-        p.add_argument("--clients", type=int, default=10)
-        p.add_argument("--multiplier", type=float, default=4.0,
-                       help="flash-crowd client multiplier")
-        p.add_argument("--objects", type=int, default=300)
-        p.add_argument("--settle", type=float, default=2.5)
-        p.add_argument("--window", type=float, default=0.5,
-                       help="telemetry window length (sim seconds)")
-
     p_tel = sub.add_parser("telemetry",
                            help="run the overload episode with windowed "
                                 "telemetry sampling and export the series")
-    episode_opts(p_tel)
+    episode_opts(p_tel, window=True)
     p_tel.add_argument("--jsonl", default=None,
                        help="write one JSON object per window (plus a "
                             "summary record) to this file")
@@ -505,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="telemetry dashboard for the overload "
                                 "episode: totals, gauges, scheduler "
                                 "introspection, SLO verdicts")
-    episode_opts(p_top)
+    episode_opts(p_top, window=True)
     p_top.add_argument("--watch", action="store_true",
                        help="print the per-window dump above the "
                             "dashboard (a --watch-style timeline)")

@@ -2,11 +2,11 @@
 
 from .chaos import ChaosRunner, EpisodeResult
 from .figures import (DEFAULT_CLIENTS, figure2, figure3, figure4,
-                      render_table, url_table_overhead)
+                      render_table, sweep_clients, url_table_overhead,
+                      write_csv)
 from .recovery import (collect_recovery_golden, recovery_episode_fn,
                        render_recovery, run_promotion_episode,
                        run_recovery_episode)
-from .runner import SweepResult, grid, sweep_clients, write_csv
 from .sweep import (SweepEngine, SweepError, SweepSpec, load_spec,
                     merge_sweep, write_report)
 from .testbed import (SCHEMES, Deployment, ExperimentConfig,
@@ -15,8 +15,7 @@ from .testbed import (SCHEMES, Deployment, ExperimentConfig,
 __all__ = [
     "ExperimentConfig", "Deployment", "build_deployment", "SCHEMES",
     "figure2", "figure3", "figure4", "url_table_overhead",
-    "render_table", "DEFAULT_CLIENTS",
-    "SweepResult", "sweep_clients", "grid", "write_csv",
+    "render_table", "DEFAULT_CLIENTS", "sweep_clients", "write_csv",
     "ChaosRunner", "EpisodeResult",
     "SweepSpec", "SweepEngine", "SweepError", "load_spec", "merge_sweep",
     "write_report",

@@ -27,14 +27,13 @@ from typing import Optional
 from ..analysis.invariants import check_invariants
 from ..chaos import ChaosTargets, DiskSlowdown, FAULT_KINDS, FaultSchedule, \
     FlashCrowd, generate_schedule
-from ..cluster import distributor_spec
-from ..core import (ContentAwareDistributor, HaDistributorPair,
-                    OverloadConfig, UrlTable)
-from ..mgmt import Broker, ClusterMonitor, Controller
+from ..core import HaDistributorPair, OverloadConfig
+from ..mgmt import ClusterMonitor
 from ..sim import RngStream
 from ..workload import WORKLOAD_A, WebBenchRig
 from .figures import render_table
-from .testbed import ExperimentConfig, build_deployment
+from .testbed import (Deployment, ExperimentConfig, build_deployment,
+                      wire_telemetry)
 
 __all__ = ["EpisodeResult", "ChaosRunner", "OverloadEpisodeResult",
            "OVERLOAD_EPISODE_CONFIG", "run_overload_episode"]
@@ -43,8 +42,165 @@ __all__ = ["EpisodeResult", "ChaosRunner", "OverloadEpisodeResult",
 FINALIZE_BUDGET = 6.0
 
 
+class _HaEpisode:
+    """The HA testbed both episode kinds run on.
+
+    On one §5.1 deployment it builds, in this order: the §2.3 backup
+    distributor, the §3.1 management plane (1 s dispatch timeout), a
+    cluster monitor, the primary/backup pair, a closed-loop client rig
+    submitting through the pair, and the optional telemetry sampler.
+    Brokers, collectors, the monitor and the pair each start processes,
+    so this order is their place in the event order.
+
+    With overload control on, dispatch timeouts feed the data plane's
+    breaker board and the pair's outage retries draw on the retry
+    budget.  A failover rebinds the management plane onto the backup.
+    Each hook stays dormant where it does not apply: chaos episodes have
+    no overload control, and nothing crashes an overload episode's
+    primary.
+    """
+
+    def __init__(self, deployment: Deployment, rng: RngStream,
+                 telemetry: Optional[float] = None):
+        sim, tracer = deployment.sim, deployment.tracer
+        primary = deployment.frontend
+        ctl = primary.overload
+        self.deployment = deployment
+        self.backup = deployment.backup_distributor()
+        self.controller, self.brokers = deployment.management_plane()
+        self.controller.default_timeout = 1.0
+        if ctl is not None:
+            self.controller.health_sink = ctl.breakers
+        self.monitor = ClusterMonitor(sim, self.controller, primary.view,
+                                      interval=0.3, misses_to_fail=2,
+                                      probe_timeout=0.5, tracer=tracer)
+        self.monitor.start()
+        self.pair = HaDistributorPair(
+            sim, primary, self.backup, heartbeat_interval=0.2,
+            misses_to_fail=2,
+            retry_budget=ctl.retry_budget if ctl is not None else None,
+            on_failover=self._rebind_after_failover, tracer=tracer)
+        config = deployment.config
+        self.rig = WebBenchRig(sim, self.pair.submit, deployment.sampler,
+                               n_machines=config.n_client_machines,
+                               warmup=config.warmup,
+                               think_time=config.workload.think_time,
+                               rng=rng.substream("rig"))
+        self.telemetry = None
+        if telemetry is not None:
+            # the episode drives its own rig, so wiring happens here rather
+            # than in build_deployment (local import keeps obs optional)
+            from ..obs import TelemetrySampler
+            self.telemetry = TelemetrySampler(window=telemetry).attach(sim)
+            wire_telemetry(self.telemetry, deployment, rig=self.rig)
+
+    def _rebind_after_failover(self, pair: HaDistributorPair) -> None:
+        # the backup's replicated URL table becomes the live directory:
+        # the management plane must mutate *it* from now on, and the
+        # backup's routing view must learn which nodes are down
+        backup = self.backup
+        self.controller.url_table = backup.url_table
+        self.controller.nic = backup.nic
+        for name in sorted(self.brokers):
+            self.brokers[name].controller_nic = backup.nic
+        for node in sorted(self.monitor.down_nodes):
+            backup.view.mark_down(node)
+        self.monitor.view = backup.view
+
+    def drive(self, schedule: FaultSchedule, clients: int, duration: float,
+              settle: float, loss_rng: Optional[RngStream] = None,
+              agent_rng: Optional[RngStream] = None) -> list[str]:
+        """Install ``schedule``, run ``clients`` until ``duration``, then
+        drain for ``settle``: clients finish their in-flight request and
+        exit.  Returns the clients still mid-request after the drain."""
+        dep = self.deployment
+        schedule.install(ChaosTargets(
+            sim=dep.sim, lan=dep.lan, servers=dep.servers, pair=self.pair,
+            brokers=self.brokers, loss_rng=loss_rng, agent_rng=agent_rng,
+            rig=self.rig, tracer=dep.tracer))
+        self.rig.start_clients(clients)
+        dep.sim.run(until=duration)
+        self.rig.request_stop()
+        dep.sim.run(until=duration + settle)
+        return sorted(c.client_id for c in self.rig.clients
+                      if c.process.is_alive)
+
+    def stop(self) -> None:
+        """Stop the monitor, the pair's heartbeats and every broker."""
+        self.monitor.stop()
+        self.pair.stop()
+        for name in sorted(self.brokers):
+            self.brokers[name].stop()
+
+    def audit(self) -> tuple[list[str], list[str]]:
+        """``(invariant violations, leaks)``: INV001-INV010 over the
+        active distributor, then mapping entries and pool leases left
+        on either distributor."""
+        dep, active = self.deployment, self.pair.active
+        violations = check_invariants(active.url_table, servers=dep.servers,
+                                      frontend=active, catalog=dep.catalog)
+        leaks: list[str] = []
+        for frontend in (dep.frontend, self.backup):
+            if len(frontend.mapping) != 0:
+                leaks.append(f"{frontend.name}: {len(frontend.mapping)} "
+                             f"mapping entries leaked")
+            pools = frontend.pools.pools()
+            for backend in sorted(pools):
+                if pools[backend].leased_count != 0:
+                    leaks.append(f"{frontend.name}/pool:{backend}: "
+                                 f"{pools[backend].leased_count} leases "
+                                 f"leaked")
+        return ([f"{v.rule} {v.path}: {v.message}" for v in violations],
+                leaks)
+
+    def evaluate_slos(self, specs, shed: int = 0) -> list:
+        """Close the telemetry windows (when sampled) and judge ``specs``
+        against the rig's outcomes and the windowed series."""
+        from ..obs import evaluate_slos, slo_metrics_from_rig
+        if self.telemetry is not None:
+            self.telemetry.finalize(self.deployment.sim.now)
+        return evaluate_slos(specs, slo_metrics_from_rig(self.rig, shed=shed),
+                             self.telemetry)
+
+
+class _Verdict:
+    """Survival as a list of failure reasons, shared by both episode
+    results: an episode survived when it has none."""
+
+    # the outcome fields every episode result declares
+    completed: int
+    stuck_clients: list
+    invariant_violations: list
+    leak_violations: list
+    slo_results: list
+
+    def _failures(self) -> list[str]:
+        reasons = []
+        if self.completed == 0:
+            reasons.append("no requests completed")
+        if self.stuck_clients:
+            reasons.append(f"stuck clients: {self.stuck_clients}")
+        if self.invariant_violations:
+            reasons.append(
+                f"invariants: {'; '.join(self.invariant_violations)}")
+        if self.leak_violations:
+            reasons.append(f"leaks: {'; '.join(self.leak_violations)}")
+        return reasons
+
+    @property
+    def survived(self) -> bool:
+        return not self._failures()
+
+    @property
+    def slo_ok(self) -> bool:
+        return all(r["ok"] for r in self.slo_results)
+
+    def failure_summary(self) -> str:
+        return "; ".join(self._failures()) or "ok"
+
+
 @dataclasses.dataclass
-class EpisodeResult:
+class EpisodeResult(_Verdict):
     """Everything one chaos episode observed."""
 
     episode: int
@@ -68,32 +224,13 @@ class EpisodeResult:
     #: whole-run telemetry aggregate (empty unless sampled)
     telemetry_summary: dict = dataclasses.field(default_factory=dict)
 
-    @property
-    def survived(self) -> bool:
-        return (self.completed > 0 and not self.stuck_clients and
-                not self.invariant_violations and not self.leak_violations
-                and self.audit_clean and self.finalize_done)
-
-    @property
-    def slo_ok(self) -> bool:
-        return all(r["ok"] for r in self.slo_results)
-
-    def failure_summary(self) -> str:
-        reasons = []
-        if self.completed == 0:
-            reasons.append("no requests completed")
-        if self.stuck_clients:
-            reasons.append(f"stuck clients: {self.stuck_clients}")
-        if self.invariant_violations:
-            reasons.append(
-                f"invariants: {'; '.join(self.invariant_violations)}")
-        if self.leak_violations:
-            reasons.append(f"leaks: {'; '.join(self.leak_violations)}")
+    def _failures(self) -> list[str]:
+        reasons = super()._failures()
         if not self.finalize_done:
             reasons.append("audit/reconcile pass did not finish")
         elif not self.audit_clean:
             reasons.append("cluster did not reconverge (audit dirty)")
-        return "; ".join(reasons) or "ok"
+        return reasons
 
 
 class ChaosRunner:
@@ -131,87 +268,20 @@ class ChaosRunner:
             warmup=0.5, duration=self.duration, n_client_machines=6,
             trace=self.trace)
         deployment = build_deployment(config)
-        sim, lan = deployment.sim, deployment.lan
-        servers = deployment.servers
-        primary = deployment.frontend
-        tracer = deployment.tracer
-
-        # §2.3: hot backup distributor monitoring the primary
-        backup = ContentAwareDistributor(
-            sim, lan, distributor_spec(), servers, UrlTable(),
-            prefork=config.prefork, max_pool_size=config.max_pool_size,
-            warmup=config.warmup, tracer=tracer, name="dist-backup")
-
-        # §3.1 management plane: controller + per-node brokers + monitor
-        controller = Controller(sim, primary.nic, deployment.url_table,
-                                deployment.doctree, tracer=tracer)
-        controller.default_timeout = 1.0
-        registry: dict[str, Broker] = {}
-        for name in sorted(servers):
-            broker = Broker(sim, lan, servers[name], controller.nic,
-                            registry=registry)
-            controller.register_broker(broker)
-        monitor = ClusterMonitor(sim, controller, primary.view,
-                                 interval=0.3, misses_to_fail=2,
-                                 probe_timeout=0.5, tracer=tracer)
-        monitor.start()
-
-        def rebind_after_failover(p: HaDistributorPair) -> None:
-            # the backup's replicated URL table becomes the live directory:
-            # the management plane must mutate *it* from now on, and the
-            # backup's routing view must learn which nodes are down
-            controller.url_table = backup.url_table
-            controller.nic = backup.nic
-            for broker in sorted(registry):
-                registry[broker].controller_nic = backup.nic
-            for node in sorted(monitor.down_nodes):
-                backup.view.mark_down(node)
-            monitor.view = backup.view
-
-        pair = HaDistributorPair(sim, primary, backup,
-                                 heartbeat_interval=0.2, misses_to_fail=2,
-                                 on_failover=rebind_after_failover,
-                                 tracer=tracer)
-
-        # the fault schedule, installed through the engine's injection hook
         ep_rng = RngStream(self.seed, f"chaos/episode/{index}")
+        ha = _HaEpisode(deployment, ep_rng, telemetry=self.telemetry)
         forced = FAULT_KINDS[index % len(FAULT_KINDS)]
         schedule = generate_schedule(
-            ep_rng.substream("schedule"), sorted(servers), self.duration,
-            forced=forced, extra_faults=self.extra_faults)
-        rig = WebBenchRig(sim, pair.submit, deployment.sampler,
-                          n_machines=config.n_client_machines,
-                          warmup=config.warmup,
-                          think_time=config.workload.think_time,
-                          rng=ep_rng.substream("rig"))
-        telemetry = None
-        if self.telemetry is not None:
-            # episodes drive their own rig, so wiring happens here rather
-            # than in build_deployment (local import keeps obs optional)
-            from ..obs import TelemetrySampler
-            from .testbed import wire_telemetry
-            telemetry = TelemetrySampler(window=self.telemetry).attach(sim)
-            wire_telemetry(telemetry, deployment, rig=rig)
-            deployment.telemetry = telemetry
-        targets = ChaosTargets(sim=sim, lan=lan, servers=servers,
-                               pair=pair, brokers=registry,
-                               loss_rng=ep_rng.substream("loss"),
-                               agent_rng=ep_rng.substream("agents"),
-                               rig=rig, tracer=tracer)
-        schedule.install(targets)
-        rig.start_clients(self.clients)
-
-        # drive, then drain: clients finish their in-flight request and
-        # exit, so the post-settle state has no traffic of its own
-        sim.run(until=self.duration)
-        rig.request_stop()
-        sim.run(until=self.duration + self.settle)
-        stuck = sorted(c.client_id for c in rig.clients
-                       if c.process.is_alive)
+            ep_rng.substream("schedule"), sorted(deployment.servers),
+            self.duration, forced=forced, extra_faults=self.extra_faults)
+        stuck = ha.drive(schedule, self.clients, self.duration, self.settle,
+                         loss_rng=ep_rng.substream("loss"),
+                         agent_rng=ep_rng.substream("agents"))
 
         # reconvergence: the management plane audits itself; divergence
         # left behind by abandoned (timed-out) agents is reconciled once,
         # after which the audit must come back clean
+        controller = ha.controller
         finalize: dict = {}
 
         def finalize_pass():
@@ -226,60 +296,39 @@ class ChaosRunner:
             finalize["audit"] = audit
             finalize["done"] = True
 
+        sim = deployment.sim
         sim.process(finalize_pass(), name="chaos-finalize")
         sim.run(until=self.duration + self.settle + FINALIZE_BUDGET)
+        ha.stop()
 
-        monitor.stop()
-        pair.stop()
-        for name in sorted(registry):
-            registry[name].stop()
-
-        active = pair.active
-        violations = check_invariants(active.url_table, servers=servers,
-                                      frontend=active,
-                                      catalog=deployment.catalog)
-        leaks: list[str] = []
-        for frontend in (primary, backup):
-            if len(frontend.mapping) != 0:
-                leaks.append(f"{frontend.name}: {len(frontend.mapping)} "
-                             f"mapping entries leaked")
-            for backend in sorted(frontend.pools.pools()):
-                pool = frontend.pools.pools()[backend]
-                if pool.leased_count != 0:
-                    leaks.append(f"{frontend.name}/pool:{backend}: "
-                                 f"{pool.leased_count} leases leaked")
+        violations, leaks = ha.audit()
         audit = finalize.get("audit", {})
         audit_clean = bool(audit) and not audit.get("missing") and \
             not audit.get("orphaned")
         slo_results: list = []
         telemetry_summary: dict = {}
-        if telemetry is not None:
-            from ..obs import (DEFAULT_CHAOS_SLOS, evaluate_slos,
-                               slo_metrics_from_rig)
-            telemetry.finalize(sim.now)
-            telemetry_summary = telemetry.summary()
-            slo_results = evaluate_slos(DEFAULT_CHAOS_SLOS,
-                                        slo_metrics_from_rig(rig),
-                                        telemetry)
+        if ha.telemetry is not None:
+            from ..obs import DEFAULT_CHAOS_SLOS
+            slo_results = ha.evaluate_slos(DEFAULT_CHAOS_SLOS)
+            telemetry_summary = ha.telemetry.summary()
         result = EpisodeResult(
             episode=index,
             schedule=schedule,
-            completed=rig.meter.completions,
-            errors=rig.errors,
-            failed_over=pair.failed_over,
-            retries=pair.retries,
+            completed=ha.rig.meter.completions,
+            errors=ha.rig.errors,
+            failed_over=ha.pair.failed_over,
+            retries=ha.pair.retries,
             stuck_clients=stuck,
-            invariant_violations=[f"{v.rule} {v.path}: {v.message}"
-                                  for v in violations],
+            invariant_violations=violations,
             leak_violations=leaks,
             audit_clean=audit_clean,
             reconciled=finalize.get("reconciled", False),
             finalize_done=finalize.get("done", False),
             slo_results=slo_results,
             telemetry_summary=telemetry_summary)
-        if tracer is not None and not result.survived:
+        if deployment.tracer is not None and not result.survived:
             # the failed episode's last moments, for the postmortem
-            result.timeline = tracer.recorder.render()
+            result.timeline = deployment.tracer.recorder.render()
         return result
 
     # -- the whole run -------------------------------------------------------
@@ -356,7 +405,7 @@ OVERLOAD_EPISODE_CONFIG = OverloadConfig(
 
 
 @dataclasses.dataclass
-class OverloadEpisodeResult:
+class OverloadEpisodeResult(_Verdict):
     """Everything the overload episode observed."""
 
     seed: int
@@ -394,7 +443,7 @@ class OverloadEpisodeResult:
     #: flight-recorder dump captured when a traced episode failed
     timeline: str = ""
     #: kernel events scheduled over the episode (``Simulator.event_count``);
-    #: used by the benchmark harness, not part of the outcome table
+    #: read by the fast-path equivalence test, not part of the outcome table
     events: int = 0
     #: the episode's repro.obs TelemetrySampler (None unless sampled)
     telemetry: Optional[object] = None
@@ -409,41 +458,14 @@ class OverloadEpisodeResult:
         return self.completed / self.duration if self.duration > 0 else 0.0
 
     @property
-    def slo_ok(self) -> bool:
-        return all(r["ok"] for r in self.slo_results)
-
-    @property
     def bounds_held(self) -> bool:
         if self.config is None:
             return False
         return (self.admission_peak_inflight <= self.config.max_inflight
                 and self.admission_peak_queue <= self.config.max_queue)
 
-    @property
-    def survived(self) -> bool:
-        basic = (self.completed > 0 and not self.stuck_clients
-                 and not self.invariant_violations
-                 and not self.leak_violations)
-        if not self.enabled:
-            return basic
-        return (basic
-                and set(self.error_statuses) <= {503}
-                and self.bounds_held
-                and self.breakers_all_closed
-                and self.admission_inflight_after == 0
-                and self.admission_queued_after == 0)
-
-    def failure_summary(self) -> str:
-        reasons = []
-        if self.completed == 0:
-            reasons.append("no requests completed")
-        if self.stuck_clients:
-            reasons.append(f"stuck clients: {self.stuck_clients}")
-        if self.invariant_violations:
-            reasons.append(
-                f"invariants: {'; '.join(self.invariant_violations)}")
-        if self.leak_violations:
-            reasons.append(f"leaks: {'; '.join(self.leak_violations)}")
+    def _failures(self) -> list[str]:
+        reasons = super()._failures()
         if self.enabled:
             dirty = {s for s in self.error_statuses if s != 503}
             if dirty:
@@ -457,7 +479,7 @@ class OverloadEpisodeResult:
                 reasons.append(f"breakers still open: {self.open_nodes}")
             if self.admission_inflight_after or self.admission_queued_after:
                 reasons.append("admission not drained after settle")
-        return "; ".join(reasons) or "ok"
+        return reasons
 
     def report(self) -> str:
         mode = "overload control ON" if self.enabled else \
@@ -536,51 +558,9 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
         overload=config if enabled else None, trace=trace,
         kernel_stats=kernel_stats)
     deployment = build_deployment(exp)
-    sim, lan, servers = deployment.sim, deployment.lan, deployment.servers
-    primary = deployment.frontend
-    tracer = deployment.tracer
-
-    backup = ContentAwareDistributor(
-        sim, lan, distributor_spec(), servers, UrlTable(),
-        prefork=exp.prefork, max_pool_size=exp.max_pool_size,
-        warmup=exp.warmup, tracer=tracer, name="dist-backup")
-    pair = HaDistributorPair(
-        sim, primary, backup, heartbeat_interval=0.2, misses_to_fail=2,
-        retry_budget=primary.overload.retry_budget if enabled else None,
-        tracer=tracer)
-
-    # management plane; with overload on, dispatch timeouts feed the same
-    # breaker board the data plane trips (satellite health signal)
-    controller = Controller(sim, primary.nic, deployment.url_table,
-                            deployment.doctree, tracer=tracer)
-    controller.default_timeout = 1.0
-    if enabled:
-        controller.health_sink = primary.overload.breakers
-    registry: dict[str, Broker] = {}
-    for name in sorted(servers):
-        broker = Broker(sim, lan, servers[name], controller.nic,
-                        registry=registry)
-        controller.register_broker(broker)
-    monitor = ClusterMonitor(sim, controller, primary.view,
-                             interval=0.3, misses_to_fail=2,
-                             probe_timeout=0.5, tracer=tracer)
-    monitor.start()
-
-    ep_rng = RngStream(seed, "chaos/overload")
-    rig = WebBenchRig(sim, pair.submit, deployment.sampler,
-                      n_machines=exp.n_client_machines,
-                      warmup=exp.warmup,
-                      think_time=exp.workload.think_time,
-                      rng=ep_rng.substream("rig"))
-    sampler = None
-    if telemetry is not None:
-        # the episode drives its own rig, so wiring happens here rather
-        # than in build_deployment (local import keeps obs optional)
-        from ..obs import TelemetrySampler
-        from .testbed import wire_telemetry
-        sampler = TelemetrySampler(window=telemetry).attach(sim)
-        wire_telemetry(sampler, deployment, rig=rig)
-        deployment.telemetry = sampler
+    servers = deployment.servers
+    ha = _HaEpisode(deployment, RngStream(seed, "chaos/overload"),
+                    telemetry=telemetry)
     # the node holding the most content sees the most traffic -- slow
     # *its* disk, so breaker trips are all but guaranteed under the burst
     slow_node = max(sorted(servers),
@@ -591,61 +571,32 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
         DiskSlowdown(node=slow_node, factor=10.0, at=0.20 * duration,
                      duration=0.25 * duration),
     ])
-    targets = ChaosTargets(sim=sim, lan=lan, servers=servers, pair=pair,
-                           brokers=registry, rig=rig, tracer=tracer)
-    schedule.install(targets)
+    stuck = ha.drive(schedule, clients, duration, settle)
+    ha.stop()
+    violations, leaks = ha.audit()
 
-    rig.start_clients(clients)
-    sim.run(until=duration)
-    rig.request_stop()
-    sim.run(until=duration + settle)
-    stuck = sorted(c.client_id for c in rig.clients if c.process.is_alive)
-
-    monitor.stop()
-    pair.stop()
-    for name in sorted(registry):
-        registry[name].stop()
-
-    active = pair.active
-    violations = check_invariants(active.url_table, servers=servers,
-                                  frontend=active,
-                                  catalog=deployment.catalog)
-    leaks: list[str] = []
-    for frontend in (primary, backup):
-        if len(frontend.mapping) != 0:
-            leaks.append(f"{frontend.name}: {len(frontend.mapping)} "
-                         f"mapping entries leaked")
-        for backend in sorted(frontend.pools.pools()):
-            pool = frontend.pools.pools()[backend]
-            if pool.leased_count != 0:
-                leaks.append(f"{frontend.name}/pool:{backend}: "
-                             f"{pool.leased_count} leases leaked")
-
+    primary = deployment.frontend
     ctl = primary.overload
     count = primary.metrics.counter
     shed = count("overload/shed").count
     slo_results: list = []
-    if sampler is not None or slos is not None:
-        from ..obs import (DEFAULT_OVERLOAD_SLOS, evaluate_slos,
-                           slo_metrics_from_rig)
-        if sampler is not None:
-            sampler.finalize(sim.now)
-        specs = slos if slos is not None else DEFAULT_OVERLOAD_SLOS
-        slo_results = evaluate_slos(
-            specs, slo_metrics_from_rig(rig, shed=shed), sampler)
+    if ha.telemetry is not None or slos is not None:
+        from ..obs import DEFAULT_OVERLOAD_SLOS
+        slo_results = ha.evaluate_slos(
+            slos if slos is not None else DEFAULT_OVERLOAD_SLOS, shed=shed)
     result = OverloadEpisodeResult(
         seed=seed,
         enabled=enabled,
         duration=duration,
         schedule=schedule,
-        completed=rig.meter.completions,
-        errors=rig.errors,
-        error_statuses=dict(rig.error_statuses),
+        completed=ha.rig.meter.completions,
+        errors=ha.rig.errors,
+        error_statuses=dict(ha.rig.error_statuses),
         shed=shed,
         degraded=count("overload/degraded").count,
         timeouts=count("overload/timeout").count,
         replica_retries=count("overload/replica-retry").count,
-        budget_denied=pair.budget_denied,
+        budget_denied=ha.pair.budget_denied,
         admission_peak_inflight=ctl.admission.peak_inflight if ctl else 0,
         admission_peak_queue=ctl.admission.peak_queue if ctl else 0,
         admission_inflight_after=ctl.admission.inflight if ctl else 0,
@@ -657,16 +608,15 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
         breakers_all_closed=ctl.breakers.all_closed() if ctl else True,
         open_nodes=tuple(ctl.breakers.open_nodes()) if ctl else (),
         stuck_clients=stuck,
-        invariant_violations=[f"{v.rule} {v.path}: {v.message}"
-                              for v in violations],
+        invariant_violations=violations,
         leak_violations=leaks,
         config=config if enabled else None,
-        tracer=tracer,
-        events=sim.event_count,
-        telemetry=sampler,
+        tracer=deployment.tracer,
+        events=deployment.sim.event_count,
+        telemetry=ha.telemetry,
         slo_results=slo_results,
         kernel_stats=(deployment.kernel_stats.report()
                       if deployment.kernel_stats is not None else None))
-    if tracer is not None and not result.survived:
-        result.timeline = tracer.recorder.render()
+    if deployment.tracer is not None and not result.survived:
+        result.timeline = deployment.tracer.recorder.render()
     return result

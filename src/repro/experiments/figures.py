@@ -11,24 +11,34 @@
   latency (~4.32 us), with and without the entry cache.
 
 Each function returns plain data (dicts/lists) and every result can be
-rendered with :func:`render_table` for the terminal.
+rendered with :func:`render_table` for the terminal.  The figures run on
+:func:`sweep_clients`, which sweeps any (scheme, workload) cell over
+client counts; :func:`write_csv` exports such a sweep for external
+plotting.
 """
 
 from __future__ import annotations
 
+import csv
 import time
+from pathlib import Path
 from typing import Optional, Sequence
 
 from ..content import ContentType, generate_catalog
 from ..core import UrlTable
 from ..sim import RngStream, ZipfSampler
-from ..workload import WORKLOAD_A, WORKLOAD_B
+from ..workload import WORKLOAD_A, WORKLOAD_B, WorkloadSpec
 from .testbed import ExperimentConfig, build_deployment
 
 __all__ = ["figure2", "figure3", "figure4", "url_table_overhead",
-           "render_table", "DEFAULT_CLIENTS"]
+           "render_table", "sweep_clients", "write_csv", "DEFAULT_CLIENTS"]
 
 DEFAULT_CLIENTS = (15, 30, 60, 90, 120)
+
+#: The flat columns every CSV row carries (class columns appended).
+BASE_COLUMNS = ("scheme", "workload", "n_clients", "throughput_rps",
+                "latency_p50", "latency_p95", "completed", "errors",
+                "mean_cache_hit_rate")
 
 
 def render_table(title: str, headers: Sequence[str],
@@ -46,17 +56,70 @@ def render_table(title: str, headers: Sequence[str],
     return "\n".join(lines)
 
 
-def _sweep(scheme: str, workload, clients: Sequence[int],
-           duration: float, warmup: float, seed: int) -> list[dict]:
-    results = []
+def sweep_clients(scheme: str, workload: WorkloadSpec,
+                  clients: Sequence[int], **config) -> list[dict]:
+    """Run one (scheme, workload) cell at each client count.
+
+    Returns each point's :meth:`Deployment.run` summary, tagged with
+    ``n_clients``; ``config`` holds further :class:`ExperimentConfig`
+    fields.
+    """
+    points = []
     for n in clients:
-        config = ExperimentConfig(scheme=scheme, workload=workload,
-                                  duration=duration, warmup=warmup,
-                                  seed=seed)
-        deployment = build_deployment(config)
-        results.append(deployment.run(n))
-        results[-1]["n_clients"] = n
-    return results
+        deployment = build_deployment(ExperimentConfig(
+            scheme=scheme, workload=workload, **config))
+        point = deployment.run(n)
+        point["n_clients"] = n
+        points.append(point)
+    return points
+
+
+def write_csv(points: Sequence[dict], path: str | Path) -> None:
+    """Write sweep points as CSV: one row per point, the base columns
+    first, then any class and telemetry columns in sorted order."""
+    rows = []
+    for point in points:
+        row = {column: point[column] for column in BASE_COLUMNS}
+        for klass, rps in point.get("by_class", {}).items():
+            row[f"class_{klass}_rps"] = rps
+        # additive: present only when the cell sampled windowed telemetry
+        # (sweep_clients(..., telemetry=...))
+        tel = point.get("telemetry")
+        if tel is not None:
+            row["telemetry_windows"] = tel["windows"]
+            row["telemetry_peak_eps"] = tel["peak_events_per_sec"]
+        rows.append(row)
+    extra = sorted({k for row in rows for k in row
+                    if k.startswith(("class_", "telemetry_"))})
+    columns = list(BASE_COLUMNS) + extra
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([row.get(c, "") for c in columns])
+
+
+def _throughput_figure(title: str, workload: WorkloadSpec,
+                       schemes: dict[str, str], clients: Sequence[int],
+                       duration: float, warmup: float, seed: int) -> dict:
+    """Throughput vs client count for ``schemes`` (scheme -> column)."""
+    series = {scheme: sweep_clients(scheme, workload, clients,
+                                    duration=duration, warmup=warmup,
+                                    seed=seed)
+              for scheme in schemes}
+    rows = []
+    for i, n in enumerate(clients):
+        rows.append([n] + [round(series[s][i]["throughput_rps"], 1)
+                           for s in schemes])
+    return {
+        "workload": workload.name,
+        "clients": list(clients),
+        "series": {s: [r["throughput_rps"] for r in series[s]]
+                   for s in schemes},
+        "details": series,
+        "rendered": render_table(title, ["clients", *schemes.values()],
+                                 rows),
+    }
 
 
 def figure2(clients: Sequence[int] = DEFAULT_CLIENTS,
@@ -69,26 +132,12 @@ def figure2(clients: Sequence[int] = DEFAULT_CLIENTS,
     routing consistently above full replication (better cache hit rates
     from the reduced per-node working set).
     """
-    schemes = ("replication-l4", "nfs-l4", "partition-ca")
-    series = {scheme: _sweep(scheme, WORKLOAD_A, clients,
-                             duration, warmup, seed)
-              for scheme in schemes}
-    rows = []
-    for i, n in enumerate(clients):
-        rows.append([n] + [round(series[s][i]["throughput_rps"], 1)
-                           for s in schemes])
-    return {
-        "workload": "A",
-        "clients": list(clients),
-        "series": {s: [r["throughput_rps"] for r in series[s]]
-                   for s in schemes},
-        "details": series,
-        "rendered": render_table(
-            "Figure 2: benefit of content partition (Workload A), req/s",
-            ["clients", "full-replication+WLC", "shared-NFS+WLC",
-             "partition+content-aware"],
-            rows),
-    }
+    return _throughput_figure(
+        "Figure 2: benefit of content partition (Workload A), req/s",
+        WORKLOAD_A, {"replication-l4": "full-replication+WLC",
+                     "nfs-l4": "shared-NFS+WLC",
+                     "partition-ca": "partition+content-aware"},
+        clients, duration, warmup, seed)
 
 
 def figure3(clients: Sequence[int] = DEFAULT_CLIENTS,
@@ -100,25 +149,11 @@ def figure3(clients: Sequence[int] = DEFAULT_CLIENTS,
     full replication with WLC -- content-blind dispatch keeps sending
     CPU-heavy dynamic requests to the slow/low-memory nodes.
     """
-    schemes = ("replication-l4", "partition-ca")
-    series = {scheme: _sweep(scheme, WORKLOAD_B, clients,
-                             duration, warmup, seed)
-              for scheme in schemes}
-    rows = []
-    for i, n in enumerate(clients):
-        rows.append([n] + [round(series[s][i]["throughput_rps"], 1)
-                           for s in schemes])
-    return {
-        "workload": "B",
-        "clients": list(clients),
-        "series": {s: [r["throughput_rps"] for r in series[s]]
-                   for s in schemes},
-        "details": series,
-        "rendered": render_table(
-            "Figure 3: benefit of content partition (Workload B), req/s",
-            ["clients", "full-replication+WLC", "partition+content-aware"],
-            rows),
-    }
+    return _throughput_figure(
+        "Figure 3: benefit of content partition (Workload B), req/s",
+        WORKLOAD_B, {"replication-l4": "full-replication+WLC",
+                     "partition-ca": "partition+content-aware"},
+        clients, duration, warmup, seed)
 
 
 def figure4(n_clients: int = 120, duration: float = 16.0,
@@ -133,12 +168,9 @@ def figure4(n_clients: int = 120, duration: float = 16.0,
     out: dict = {"n_clients": n_clients, "classes": {}}
     per_scheme: dict[str, dict[str, float]] = {}
     for scheme in ("replication-l4", "partition-ca"):
-        config = ExperimentConfig(scheme=scheme, workload=WORKLOAD_B,
-                                  duration=duration, warmup=warmup,
-                                  seed=seed)
-        deployment = build_deployment(config)
-        result = deployment.run(n_clients)
-        by_class = result["by_class"]
+        (point,) = sweep_clients(scheme, WORKLOAD_B, (n_clients,),
+                                 duration=duration, warmup=warmup, seed=seed)
+        by_class = point["by_class"]
         per_scheme[scheme] = {
             "cgi": by_class.get("cgi", 0.0),
             "asp": by_class.get("asp", 0.0),

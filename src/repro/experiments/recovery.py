@@ -29,12 +29,10 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..analysis.invariants import check_invariants
-from ..cluster import distributor_spec
 from ..content import ContentItem, ContentType
-from ..core import ContentAwareDistributor, UrlTable
 from ..core.failover import DistributorLease, HaDistributorPair
 from ..core.url_table import UrlTableError
-from ..mgmt import Broker, Controller, ManagementError
+from ..mgmt import Controller, ManagementError
 from ..mgmt.durability import (ControllerCrashed, ControllerDurability,
                                CrashPlan, DurabilityConfig, recover)
 from ..workload import WORKLOAD_A
@@ -48,17 +46,9 @@ __all__ = ["run_recovery_episode", "recovery_episode_fn",
 def _build_mgmt(deployment, *, checkpoint_every: int,
                 recovery_grace: float,
                 crash_plan: Optional[CrashPlan]):
-    """Controller + brokers + attached durability over a deployment."""
-    sim = deployment.sim
-    controller = Controller(sim, deployment.frontend.nic,
-                            deployment.url_table, deployment.doctree,
-                            tracer=deployment.tracer)
+    """The management plane with durability attached, over a deployment."""
+    controller, registry = deployment.management_plane()
     controller.default_timeout = 1.0
-    registry: dict[str, Broker] = {}
-    for name in sorted(deployment.servers):
-        broker = Broker(sim, deployment.lan, deployment.servers[name],
-                        controller.nic, registry=registry)
-        controller.register_broker(broker)
     durability = ControllerDurability(DurabilityConfig(
         checkpoint_every=checkpoint_every,
         recovery_grace=recovery_grace))
@@ -360,10 +350,7 @@ def run_promotion_episode(crash_at: Optional[float], seed: int = 1, *,
     deployment = build_deployment(config)
     sim, servers = deployment.sim, deployment.servers
     primary, tracer = deployment.frontend, deployment.tracer
-    backup = ContentAwareDistributor(
-        sim, deployment.lan, distributor_spec(), servers, UrlTable(),
-        prefork=config.prefork, max_pool_size=config.max_pool_size,
-        warmup=config.warmup, tracer=tracer, name="dist-backup")
+    backup = deployment.backup_distributor()
     controller, registry, durability = _build_mgmt(
         deployment, checkpoint_every=24, recovery_grace=0.4,
         crash_plan=None)

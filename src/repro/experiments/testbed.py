@@ -22,6 +22,7 @@ from ..content import DocTree, SiteCatalog, generate_catalog
 from ..core import (ContentAwareDistributor, Frontend, L4Router, LardRouter,
                     OverloadConfig, UrlTable, apply_plan, full_replication,
                     partition_by_type, shared_nfs)
+from ..mgmt import Broker, Controller
 from ..net import Lan
 from ..sim import RngStream, Simulator
 from ..workload import RequestSampler, WebBenchRig, WorkloadSpec
@@ -138,6 +139,37 @@ class Deployment:
         if self.kernel_stats is not None:
             summary["kernel_stats"] = self.kernel_stats.report()
         return summary
+
+    def management_plane(self) -> tuple[Controller, dict[str, Broker]]:
+        """The §3.1 management plane: a controller on the front end's NIC
+        and one broker per backend, registered in node order.
+
+        Returns ``(controller, brokers)``; ``brokers`` is the registry the
+        brokers share to find their peers.  Brokers and the controller's
+        result collectors start processes, so where this call sits in a
+        harness's set-up fixes their place in the event order.
+        """
+        controller = Controller(self.sim, self.frontend.nic, self.url_table,
+                                self.doctree, tracer=self.tracer)
+        brokers: dict[str, Broker] = {}
+        for name in sorted(self.servers):
+            controller.register_broker(Broker(
+                self.sim, self.lan, self.servers[name], controller.nic,
+                registry=brokers))
+        return controller, brokers
+
+    def backup_distributor(self) -> ContentAwareDistributor:
+        """The §2.3 hot-backup distributor, ``dist-backup``.
+
+        Its URL table starts empty; an HA pair fills it on every
+        heartbeat.  It has the config's pool settings and warm-up and no
+        overload control.
+        """
+        config = self.config
+        return ContentAwareDistributor(
+            self.sim, self.lan, distributor_spec(), self.servers, UrlTable(),
+            prefork=config.prefork, max_pool_size=config.max_pool_size,
+            warmup=config.warmup, tracer=self.tracer, name="dist-backup")
 
 
 def _prewarm_caches(catalog: SiteCatalog,

@@ -107,3 +107,49 @@ class TestDeploymentRun:
         lo = build_deployment(small("partition-ca")).run(2)
         hi = build_deployment(small("partition-ca")).run(20)
         assert hi["throughput_rps"] > lo["throughput_rps"]
+
+
+class TestManagementPlane:
+    def test_one_broker_per_backend_in_node_order(self):
+        dep = build_deployment(small("partition-ca"))
+        controller, brokers = dep.management_plane()
+        nodes = sorted(dep.servers)
+        assert list(brokers) == nodes
+        assert list(controller.brokers) == nodes
+        assert controller.nic is dep.frontend.nic
+        assert controller.url_table is dep.url_table
+        assert controller.doctree is dep.doctree
+        for name, broker in brokers.items():
+            assert controller.brokers[name] is broker
+            assert broker.server is dep.servers[name]
+            assert broker.controller_nic is dep.frontend.nic
+        # the brokers share one registry, so each can fetch from its peers
+        assert brokers[nodes[0]].peer(nodes[-1]) is brokers[nodes[-1]]
+
+    def test_tracer_passed_through(self):
+        plain = build_deployment(small("partition-ca"))
+        assert plain.management_plane()[0].tracer is None
+        traced = build_deployment(small("partition-ca", trace=True))
+        controller, _ = traced.management_plane()
+        assert traced.tracer is not None
+        assert controller.tracer is traced.tracer
+
+
+class TestBackupDistributor:
+    def test_named_with_the_config_pool_and_warmup(self):
+        dep = build_deployment(small("partition-ca", prefork=4,
+                                     max_pool_size=12, warmup=0.75))
+        backup = dep.backup_distributor()
+        assert backup.name == "dist-backup"
+        assert backup.pools.prefork == 4
+        assert backup.pools.max_size == 12
+        assert backup.meter.warmup == 0.75
+        assert backup.servers == dep.servers
+        assert backup.overload is None
+        # an empty table of its own, filled by the HA pair's state syncs
+        assert backup.url_table is not dep.url_table
+        assert len(backup.url_table) == 0
+
+    def test_tracer_passed_through(self):
+        dep = build_deployment(small("partition-ca", trace=True))
+        assert dep.backup_distributor().tracer is dep.tracer

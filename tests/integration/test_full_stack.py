@@ -13,22 +13,10 @@ from repro.content import ContentItem, ContentType
 from repro.core import (AutoReplicator, ContentAwareDistributor,
                         LoadAccountant, UrlTable)
 from repro.experiments import ExperimentConfig, build_deployment
-from repro.mgmt import Broker, Controller, RemoteConsole
+from repro.mgmt import RemoteConsole
 from repro.net import HttpRequest, Lan, Nic
 from repro.sim import RngStream, Simulator
 from repro.workload import WORKLOAD_A, WorkloadSpec
-
-
-def wire_management(deployment):
-    """Attach controller + brokers to a built deployment."""
-    controller = Controller(deployment.sim, deployment.frontend.nic,
-                            deployment.url_table, deployment.doctree)
-    registry = {}
-    for server in deployment.servers.values():
-        broker = Broker(deployment.sim, deployment.lan, server,
-                        deployment.frontend.nic, registry)
-        controller.register_broker(broker)
-    return controller
 
 
 def small_config(**kw):
@@ -42,7 +30,7 @@ def small_config(**kw):
 class TestManagementUnderLoad:
     def test_insert_new_document_while_serving(self):
         deployment = build_deployment(small_config())
-        controller = wire_management(deployment)
+        controller, _ = deployment.management_plane()
         console = RemoteConsole(controller)
         sim = deployment.sim
         new_doc = ContentItem("/launch/announce.html", 4096,
@@ -71,7 +59,7 @@ class TestManagementUnderLoad:
 
     def test_offload_under_load_keeps_service_consistent(self):
         deployment = build_deployment(small_config())
-        controller = wire_management(deployment)
+        controller, _ = deployment.management_plane()
         sim = deployment.sim
         # replicate one popular document, then offload the original copy
         item = sorted(deployment.catalog.static_items(),
@@ -102,7 +90,7 @@ class TestManagementUnderLoad:
         """§4: mutable documents -- a push updates every replica and the
         next request serves the new version."""
         deployment = build_deployment(small_config())
-        controller = wire_management(deployment)
+        controller, _ = deployment.management_plane()
         sim = deployment.sim
         item = sorted(deployment.catalog.static_items(),
                       key=lambda i: i.size_bytes)[0]
@@ -129,7 +117,7 @@ class TestManagementUnderLoad:
 
     def test_verify_placement_consistent_after_churn(self):
         deployment = build_deployment(small_config())
-        controller = wire_management(deployment)
+        controller, _ = deployment.management_plane()
         sim = deployment.sim
         item = sorted(deployment.catalog.static_items(),
                       key=lambda i: i.size_bytes)[1]
@@ -154,7 +142,7 @@ class TestAutoReplicationIntegration:
                                zipf_alpha=1.4, n_objects=300)
         deployment = build_deployment(small_config(
             workload=hotspot, duration=8.0))
-        controller = wire_management(deployment)
+        controller, _ = deployment.management_plane()
         accountant = LoadAccountant(
             {n: s.spec.weight for n, s in deployment.servers.items()})
         deployment.frontend.on_response = accountant.record
@@ -178,7 +166,7 @@ class TestAutoReplicationIntegration:
 
     def test_no_actions_on_balanced_load(self):
         deployment = build_deployment(small_config(duration=6.0))
-        controller = wire_management(deployment)
+        controller, _ = deployment.management_plane()
         accountant = LoadAccountant(
             {n: s.spec.weight for n, s in deployment.servers.items()})
         deployment.frontend.on_response = accountant.record
