@@ -86,9 +86,10 @@ recover-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro recover --explore \
 		--limit 12
 
-## Regenerate the golden fixtures (metrics + recovery) after a reviewed
-## model change.
+## Regenerate every REPRO_UPDATE_GOLDEN fixture (metrics, recovery and
+## the sweep smoke report) after a reviewed model change.
 golden:
 	REPRO_UPDATE_GOLDEN=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
 		tests/integration/test_golden_metrics.py \
-		tests/integration/test_recovery_golden.py -q
+		tests/integration/test_recovery_golden.py \
+		tests/experiments/test_sweep_golden.py -q

@@ -18,7 +18,6 @@ sorted keys, so reports are byte-identical across ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
-import ast
 import json
 import re
 from pathlib import Path
@@ -96,7 +95,3 @@ def render_jsonl(violations: list[Violation]) -> str:
              "message": v.message, "pass": v.pass_name},
             sort_keys=True))
     return "\n".join(lines)
-
-
-def parse_module(source: str, path: str) -> ast.Module:
-    return ast.parse(source, filename=path)

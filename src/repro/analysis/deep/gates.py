@@ -24,7 +24,9 @@ Precision notes
 ---------------
 * A field is only treated as a gate inside classes where it can
   actually be ``None`` (some assignment of ``None``, a parameter that
-  defaults to ``None``, or an ``Optional`` annotation).
+  defaults to ``None``, an ``Optional`` annotation, or a copy of
+  another object's same-named field, as in the observer idiom
+  ``self.tracer = sim.tracer``).
   ``OverloadControl.retry_budget`` is constructed unconditionally and
   is exempt; ``FailoverPair.retry_budget`` is optional and checked.
 * Locals are tracked as gate aliases when every assignment to them
@@ -173,6 +175,11 @@ def _class_optional_attrs(cls: ast.ClassDef) -> frozenset[str]:
                     default = params[value.id]
                     if default is not None and _is_none(default):
                         optional.add(t.attr)
+                elif isinstance(value, ast.Attribute) and \
+                        value.attr == t.attr:
+                    # ``self.tracer = sim.tracer``: a copy of the
+                    # owner's gate slot is a gate too
+                    optional.add(t.attr)
     # a gate attribute never assigned in the class is not this class's
     # gate (inherited always-set fields would false-positive otherwise)
     return frozenset(optional & assigned)

@@ -48,9 +48,6 @@ class ChaosTargets:
     #: the closed-loop client rig (FlashCrowd bursts extra clients on it);
     #: typed loosely to keep the chaos layer import-free of the workload
     rig: Optional[object] = None
-    #: repro.obs tracer; fault apply/revert become "chaos" point events
-    #: (typed loosely for the same import-hygiene reason as ``rig``)
-    tracer: Optional[object] = None
     #: the management controller (MgmtCrash kills and restarts it)
     controller: Optional[Controller] = None
 

@@ -44,9 +44,10 @@ class FaultSchedule:
         return "; ".join(f.describe() for f in self.faults)
 
     def install(self, targets: ChaosTargets) -> list[Injection]:
-        """Register every fault on the target simulator; returns records."""
+        """Register every fault on the target simulator; returns records.
+        Applies and reverts become "chaos" points on ``sim.tracer``."""
         sim = targets.sim
-        tracer = targets.tracer
+        tracer = sim.tracer
         injections = []
 
         def traced(fault: Fault, action: str, op) -> None:

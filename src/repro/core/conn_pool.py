@@ -33,27 +33,22 @@ class PooledConnection:
     created_at: float = 0.0
     uses: int = 0
     in_use: bool = False
-    # Splice bookkeeping for the packet-level distributor: cumulative bytes
-    # already pushed in each direction (offsets into the connection's
-    # sequence space across successive spliced requests).
-    seq_offset_out: int = 0
-    seq_offset_in: int = 0
-    transport: Optional[object] = None   # packet-level TcpSocket, if any
 
 
 class ConnectionPool:
     """The available-connection list for one backend."""
 
     def __init__(self, sim: Simulator, backend: str, prefork: int = 8,
-                 max_size: Optional[int] = None, tracer=None):
+                 max_size: Optional[int] = None):
         if prefork < 1:
             raise ValueError("prefork must be >= 1")
         if max_size is not None and max_size < prefork:
             raise ValueError("max_size must be >= prefork")
         self.sim = sim
         self.backend = backend
-        #: repro.obs tracer; acquire/release become "pool" point events
-        self.tracer = tracer
+        #: the simulator's repro.obs tracer; acquire/release become "pool"
+        #: point events
+        self.tracer = sim.tracer
         self.prefork = prefork
         self.max_size = max_size if max_size is not None else prefork
         self._idle: Store = Store(sim, name=f"pool:{backend}")
@@ -179,18 +174,17 @@ class PoolManager:
     """All per-backend pools, created lazily with shared defaults."""
 
     def __init__(self, sim: Simulator, prefork: int = 8,
-                 max_size: Optional[int] = None, tracer=None):
+                 max_size: Optional[int] = None):
         self.sim = sim
         self.prefork = prefork
         self.max_size = max_size
-        self.tracer = tracer
         self._pools: dict[str, ConnectionPool] = {}
 
     def pool(self, backend: str) -> ConnectionPool:
         if backend not in self._pools:
             self._pools[backend] = ConnectionPool(
                 self.sim, backend, prefork=self.prefork,
-                max_size=self.max_size, tracer=self.tracer)
+                max_size=self.max_size)
         return self._pools[backend]
 
     def pools(self) -> dict[str, ConnectionPool]:

@@ -85,8 +85,7 @@ class HaDistributorPair:
                  on_failover: Optional[
                      Callable[["HaDistributorPair"], None]] = None,
                  lease: Optional[DistributorLease] = None,
-                 recover_state: Optional[Callable[[], None]] = None,
-                 tracer=None):
+                 recover_state: Optional[Callable[[], None]] = None):
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if misses_to_fail < 1:
@@ -116,8 +115,9 @@ class HaDistributorPair:
         #: standby takes over from durable truth, not from scratch
         self.recover_state = recover_state
         self.lease_waits = 0
-        #: repro.obs tracer; heartbeat/takeover activity becomes "ha" points
-        self.tracer = tracer
+        #: the simulator's repro.obs tracer; heartbeat/takeover activity
+        #: becomes "ha" points
+        self.tracer = sim.tracer
         self.active = primary
         self.failed_over = False
         self.failover_at: Optional[float] = None

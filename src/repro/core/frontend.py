@@ -99,7 +99,6 @@ class Frontend:
                  warmup: float = 0.0,
                  client_latency: float = 0.0,
                  overload: Optional[OverloadConfig] = None,
-                 tracer=None,
                  name: Optional[str] = None):
         if not servers:
             raise ValueError("a front end needs at least one backend")
@@ -138,18 +137,18 @@ class Frontend:
         #: regression test measures
         self.inflight = 0
         self.peak_inflight = 0
-        #: repro.obs tracer; None = tracing off, and -- exactly like
-        #: ``overload=None`` -- a byte-identical event sequence to the
-        #: uninstrumented front end (the tracer is purely passive)
-        self.tracer = tracer
-        if tracer is not None:
+        #: the simulator's repro.obs tracer; None = tracing off, and --
+        #: exactly like ``overload=None`` -- a byte-identical event
+        #: sequence to the uninstrumented front end (the tracer is purely
+        #: passive)
+        self.tracer = sim.tracer
+        if self.tracer is not None:
             self.mapping.on_transition = self._trace_splice
         #: the overload-control subsystem; None = the paper's unprotected
         #: data plane (and a byte-identical event sequence to it)
         self.overload: Optional[OverloadControl] = None
         if overload is not None:
-            self.overload = OverloadControl(sim, overload, self.view,
-                                            tracer=tracer)
+            self.overload = OverloadControl(sim, overload, self.view)
         # Interned per-request collectors: _finish runs once per request,
         # and rebuilding the f-string keys + registry probes dominated its
         # cost.  Entries are created lazily through the registry on first

@@ -53,13 +53,11 @@ class LardRouter(Frontend):
                  costs: FrontendCosts = FrontendCosts(),
                  warmup: float = 0.0,
                  overload: Optional[OverloadConfig] = None,
-                 tracer=None,
                  name: Optional[str] = None):
         if not 0 <= t_low < t_high:
             raise ValueError("need 0 <= t_low < t_high")
         super().__init__(sim, lan, spec, servers, costs=costs,
-                         warmup=warmup, overload=overload, tracer=tracer,
-                         name=name)
+                         warmup=warmup, overload=overload, name=name)
         self.resolver = resolver
         self.t_low = t_low
         self.t_high = t_high

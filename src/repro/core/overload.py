@@ -292,9 +292,6 @@ class CircuitBreaker:
         self.probe_successes = 0
         self.probes_in_flight = 0
 
-    def _should_trip(self) -> bool:
-        return bool(self._trip_reason())
-
     def _trip_reason(self) -> str:
         """Why a CLOSED breaker should open now ("" = it should not)."""
         if self.consecutive_failures >= self.config.breaker_failures:
@@ -442,8 +439,7 @@ class OverloadControl:
     wired into the front end's :class:`~repro.core.policies.RoutingView`
     (breaker gate + slow-start ramp)."""
 
-    def __init__(self, sim: Simulator, config: OverloadConfig, view,
-                 tracer=None):
+    def __init__(self, sim: Simulator, config: OverloadConfig, view):
         self.sim = sim
         self.config = config
         self.admission = AdmissionController(sim, config)
@@ -451,7 +447,7 @@ class OverloadControl:
         # monitor marks up: slow-start covers both recovery paths
         self.breakers = BreakerBoard(config, clock=lambda: sim.now,
                                      on_close=view.begin_slow_start,
-                                     tracer=tracer)
+                                     tracer=sim.tracer)
         self.retry_budget = RetryBudget(ratio=config.retry_budget_ratio,
                                         initial=config.retry_budget_initial,
                                         cap=config.retry_budget_cap)

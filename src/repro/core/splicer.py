@@ -125,15 +125,15 @@ class SplicingDistributor:
                  dist_ip: str = "10.0.0.1",
                  prefork: int = 2,
                  policy: Optional[Policy] = None,
-                 weights: Optional[dict[str, float]] = None,
-                 tracer=None):
+                 weights: Optional[dict[str, float]] = None):
         if not backends:
             raise ValueError("need at least one backend")
         self.sim = sim
         self.net = net
         self.url_table = url_table
-        #: repro.obs tracer; None keeps the legacy behavior byte-for-byte
-        self.tracer = tracer
+        #: the simulator's repro.obs tracer; None keeps the legacy
+        #: behavior byte-for-byte
+        self.tracer = sim.tracer
         self.backends = dict(backends)
         self.vip = Address(vip, 80)
         self.dist_ip = dist_ip
@@ -152,7 +152,7 @@ class SplicingDistributor:
         self._conns: dict[Address, _ClientConn] = {}
         self.relayed_to_server = 0
         self.relayed_to_client = 0
-        if tracer is not None:
+        if self.tracer is not None:
             self.mapping.on_transition = self._trace_splice
         net.register(vip, self._on_vip_segment)
         net.register(dist_ip, self._on_dist_segment)

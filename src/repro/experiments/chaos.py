@@ -32,8 +32,7 @@ from ..mgmt import ClusterMonitor
 from ..sim import RngStream
 from ..workload import WORKLOAD_A, WebBenchRig
 from .figures import render_table
-from .testbed import (Deployment, ExperimentConfig, build_deployment,
-                      wire_telemetry)
+from .testbed import Deployment, ExperimentConfig, build_deployment
 
 __all__ = ["EpisodeResult", "ChaosRunner", "OverloadEpisodeResult",
            "OVERLOAD_EPISODE_CONFIG", "run_overload_episode"]
@@ -47,10 +46,12 @@ class _HaEpisode:
 
     On one §5.1 deployment it builds, in this order: the §2.3 backup
     distributor, the §3.1 management plane (1 s dispatch timeout), a
-    cluster monitor, the primary/backup pair, a closed-loop client rig
-    submitting through the pair, and the optional telemetry sampler.
-    Brokers, collectors, the monitor and the pair each start processes,
-    so this order is their place in the event order.
+    cluster monitor, the primary/backup pair, and a closed-loop client
+    rig submitting through the pair, installed as ``deployment.rig`` so
+    the deployment's telemetry probes sample it.  Brokers, collectors,
+    the monitor and the pair each start processes, so this order is
+    their place in the event order.  Every component finds the
+    deployment's observers on the simulator.
 
     With overload control on, dispatch timeouts feed the data plane's
     breaker board and the pair's outage retries draw on the retry
@@ -60,9 +61,8 @@ class _HaEpisode:
     primary.
     """
 
-    def __init__(self, deployment: Deployment, rng: RngStream,
-                 telemetry: Optional[float] = None):
-        sim, tracer = deployment.sim, deployment.tracer
+    def __init__(self, deployment: Deployment, rng: RngStream):
+        sim = deployment.sim
         primary = deployment.frontend
         ctl = primary.overload
         self.deployment = deployment
@@ -73,26 +73,20 @@ class _HaEpisode:
             self.controller.health_sink = ctl.breakers
         self.monitor = ClusterMonitor(sim, self.controller, primary.view,
                                       interval=0.3, misses_to_fail=2,
-                                      probe_timeout=0.5, tracer=tracer)
+                                      probe_timeout=0.5)
         self.monitor.start()
         self.pair = HaDistributorPair(
             sim, primary, self.backup, heartbeat_interval=0.2,
             misses_to_fail=2,
             retry_budget=ctl.retry_budget if ctl is not None else None,
-            on_failover=self._rebind_after_failover, tracer=tracer)
+            on_failover=self._rebind_after_failover)
         config = deployment.config
         self.rig = WebBenchRig(sim, self.pair.submit, deployment.sampler,
                                n_machines=config.n_client_machines,
                                warmup=config.warmup,
                                think_time=config.workload.think_time,
                                rng=rng.substream("rig"))
-        self.telemetry = None
-        if telemetry is not None:
-            # the episode drives its own rig, so wiring happens here rather
-            # than in build_deployment (local import keeps obs optional)
-            from ..obs import TelemetrySampler
-            self.telemetry = TelemetrySampler(window=telemetry).attach(sim)
-            wire_telemetry(self.telemetry, deployment, rig=self.rig)
+        deployment.rig = self.rig
 
     def _rebind_after_failover(self, pair: HaDistributorPair) -> None:
         # the backup's replicated URL table becomes the live directory:
@@ -117,7 +111,7 @@ class _HaEpisode:
         schedule.install(ChaosTargets(
             sim=dep.sim, lan=dep.lan, servers=dep.servers, pair=self.pair,
             brokers=self.brokers, loss_rng=loss_rng, agent_rng=agent_rng,
-            rig=self.rig, tracer=dep.tracer))
+            rig=self.rig))
         self.rig.start_clients(clients)
         dep.sim.run(until=duration)
         self.rig.request_stop()
@@ -154,13 +148,13 @@ class _HaEpisode:
                 leaks)
 
     def evaluate_slos(self, specs, shed: int = 0) -> list:
-        """Close the telemetry windows (when sampled) and judge ``specs``
-        against the rig's outcomes and the windowed series."""
+        """Close the telemetry windows and judge ``specs`` against the
+        rig's outcomes and the windowed series."""
         from ..obs import evaluate_slos, slo_metrics_from_rig
-        if self.telemetry is not None:
-            self.telemetry.finalize(self.deployment.sim.now)
+        sim = self.deployment.sim
+        sim.telemetry.finalize(sim.now)
         return evaluate_slos(specs, slo_metrics_from_rig(self.rig, shed=shed),
-                             self.telemetry)
+                             sim.telemetry)
 
 
 class _Verdict:
@@ -266,10 +260,10 @@ class ChaosRunner:
             scheme="partition-ca", workload=WORKLOAD_A,
             seed=self.seed * 1000 + index, n_objects=self.n_objects,
             warmup=0.5, duration=self.duration, n_client_machines=6,
-            trace=self.trace)
+            trace=self.trace, telemetry=self.telemetry)
         deployment = build_deployment(config)
         ep_rng = RngStream(self.seed, f"chaos/episode/{index}")
-        ha = _HaEpisode(deployment, ep_rng, telemetry=self.telemetry)
+        ha = _HaEpisode(deployment, ep_rng)
         forced = FAULT_KINDS[index % len(FAULT_KINDS)]
         schedule = generate_schedule(
             ep_rng.substream("schedule"), sorted(deployment.servers),
@@ -307,10 +301,10 @@ class ChaosRunner:
             not audit.get("orphaned")
         slo_results: list = []
         telemetry_summary: dict = {}
-        if ha.telemetry is not None:
+        if sim.telemetry is not None:
             from ..obs import DEFAULT_CHAOS_SLOS
             slo_results = ha.evaluate_slos(DEFAULT_CHAOS_SLOS)
-            telemetry_summary = ha.telemetry.summary()
+            telemetry_summary = sim.telemetry.summary()
         result = EpisodeResult(
             episode=index,
             schedule=schedule,
@@ -326,9 +320,9 @@ class ChaosRunner:
             finalize_done=finalize.get("done", False),
             slo_results=slo_results,
             telemetry_summary=telemetry_summary)
-        if deployment.tracer is not None and not result.survived:
+        if sim.tracer is not None and not result.survived:
             # the failed episode's last moments, for the postmortem
-            result.timeline = deployment.tracer.recorder.render()
+            result.timeline = sim.tracer.recorder.render()
         return result
 
     # -- the whole run -------------------------------------------------------
@@ -530,7 +524,6 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
                          enabled: bool = True,
                          trace: bool = False,
                          telemetry: Optional[float] = None,
-                         slos=None,
                          kernel_stats: bool = False) -> OverloadEpisodeResult:
     """One seeded flash-crowd + slow-disk episode against the HA testbed.
 
@@ -546,21 +539,19 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
     the whole episode from memory and the slow disk would never be felt.
 
     ``telemetry`` samples the windowed series with that window length and
-    evaluates the overload SLOs (``slos`` overrides the default specs);
-    ``kernel_stats`` attaches the scheduler observer.  Both are passive:
-    the outcome table and the event timeline are byte-identical either
-    way.
+    evaluates the default overload SLOs; ``kernel_stats`` attaches the
+    scheduler observer.  Both are passive: the outcome table and the
+    event timeline are byte-identical either way.
     """
     exp = ExperimentConfig(
         scheme="partition-ca", workload=WORKLOAD_A, seed=seed,
         n_objects=n_objects, warmup=0.5, duration=duration,
         n_client_machines=6, prewarm=False,
         overload=config if enabled else None, trace=trace,
-        kernel_stats=kernel_stats)
+        kernel_stats=kernel_stats, telemetry=telemetry)
     deployment = build_deployment(exp)
-    servers = deployment.servers
-    ha = _HaEpisode(deployment, RngStream(seed, "chaos/overload"),
-                    telemetry=telemetry)
+    sim, servers = deployment.sim, deployment.servers
+    ha = _HaEpisode(deployment, RngStream(seed, "chaos/overload"))
     # the node holding the most content sees the most traffic -- slow
     # *its* disk, so breaker trips are all but guaranteed under the burst
     slow_node = max(sorted(servers),
@@ -580,10 +571,9 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
     count = primary.metrics.counter
     shed = count("overload/shed").count
     slo_results: list = []
-    if ha.telemetry is not None or slos is not None:
+    if sim.telemetry is not None:
         from ..obs import DEFAULT_OVERLOAD_SLOS
-        slo_results = ha.evaluate_slos(
-            slos if slos is not None else DEFAULT_OVERLOAD_SLOS, shed=shed)
+        slo_results = ha.evaluate_slos(DEFAULT_OVERLOAD_SLOS, shed=shed)
     result = OverloadEpisodeResult(
         seed=seed,
         enabled=enabled,
@@ -611,12 +601,12 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
         invariant_violations=violations,
         leak_violations=leaks,
         config=config if enabled else None,
-        tracer=deployment.tracer,
-        events=deployment.sim.event_count,
-        telemetry=ha.telemetry,
+        tracer=sim.tracer,
+        events=sim.event_count,
+        telemetry=sim.telemetry,
         slo_results=slo_results,
-        kernel_stats=(deployment.kernel_stats.report()
-                      if deployment.kernel_stats is not None else None))
-    if deployment.tracer is not None and not result.survived:
-        result.timeline = deployment.tracer.recorder.render()
+        kernel_stats=(sim.kernel_stats.report()
+                      if sim.kernel_stats is not None else None))
+    if sim.tracer is not None and not result.survived:
+        result.timeline = sim.tracer.recorder.render()
     return result

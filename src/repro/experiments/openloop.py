@@ -63,7 +63,9 @@ def run_openloop_splice(rate: float = 400.0, duration: float = 2.0,
     the full per-request completion timeline); a run probed with
     ``kernel_stats`` must produce the same digest as a plain one.
     """
-    sim = Simulator(kernel_stats=kernel_stats)
+    sim = Simulator()
+    if kernel_stats is not None:
+        kernel_stats.attach(sim)
     net = Network(sim)
     table = UrlTable()
     sizes = {}

@@ -44,14 +44,12 @@ __all__ = ["run_recovery_episode", "recovery_episode_fn",
 
 
 def _build_mgmt(deployment, *, checkpoint_every: int,
-                recovery_grace: float,
                 crash_plan: Optional[CrashPlan]):
     """The management plane with durability attached, over a deployment."""
     controller, registry = deployment.management_plane()
     controller.default_timeout = 1.0
     durability = ControllerDurability(DurabilityConfig(
-        checkpoint_every=checkpoint_every,
-        recovery_grace=recovery_grace))
+        checkpoint_every=checkpoint_every, recovery_grace=0.4))
     durability.attach(controller)
     durability.crash_plan = crash_plan
     return controller, registry, durability
@@ -95,8 +93,6 @@ def run_recovery_episode(seed: int = 1,
                          crash_plan: Optional[CrashPlan] = None, *,
                          n_objects: int = 60,
                          restart_delay: float = 0.6,
-                         recovery_timeout: float = 1.0,
-                         recovery_grace: float = 0.4,
                          checkpoint_every: int = 24,
                          trace: bool = False) -> dict[str, Any]:
     """One scripted management episode, optionally crashed at a boundary.
@@ -113,8 +109,7 @@ def run_recovery_episode(seed: int = 1,
     deployment = build_deployment(config)
     sim = deployment.sim
     controller, registry, durability = _build_mgmt(
-        deployment, checkpoint_every=checkpoint_every,
-        recovery_grace=recovery_grace, crash_plan=crash_plan)
+        deployment, checkpoint_every=checkpoint_every, crash_plan=crash_plan)
     ops = _scripted_ops(controller, deployment)
 
     state: dict[str, Any] = {
@@ -128,7 +123,7 @@ def run_recovery_episode(seed: int = 1,
         yield sim.timeout(restart_delay)
         controller.restart()
         state["restarted_at"] = sim.now
-        report = yield from recover(controller, timeout=recovery_timeout)
+        report = yield from recover(controller, timeout=1.0)
         state["recovery"] = report
 
     def orchestrate():
@@ -150,8 +145,7 @@ def run_recovery_episode(seed: int = 1,
                     {node for _path, node in audit["missing"]}
                     | {node for _path, node in audit["orphaned"]})
                 for node in dirty:
-                    yield from controller.reconcile_node(
-                        node, timeout=recovery_timeout)
+                    yield from controller.reconcile_node(node, timeout=1.0)
                 if dirty:
                     audit = yield from controller.audit()
                 state["audit"] = audit
@@ -325,12 +319,6 @@ def collect_recovery_golden() -> dict[str, Any]:
 # -- HA promotion under a mid-placement crash -------------------------------
 
 def run_promotion_episode(crash_at: Optional[float], seed: int = 1, *,
-                          n_objects: int = 40,
-                          heartbeat_interval: float = 0.2,
-                          misses_to_fail: int = 2,
-                          lease_term: float = 0.5,
-                          place_at: float = 0.3,
-                          horizon: float = 6.0,
                           trace: bool = False) -> dict[str, Any]:
     """Kill primary + controller at ``crash_at`` during a placement.
 
@@ -345,15 +333,14 @@ def run_promotion_episode(crash_at: Optional[float], seed: int = 1, *,
     """
     config = ExperimentConfig(
         scheme="partition-ca", workload=WORKLOAD_A, seed=seed,
-        n_objects=n_objects, warmup=0.25, duration=4.0,
+        n_objects=40, warmup=0.25, duration=4.0,
         n_client_machines=2, prewarm=False, trace=trace)
     deployment = build_deployment(config)
     sim, servers = deployment.sim, deployment.servers
-    primary, tracer = deployment.frontend, deployment.tracer
+    primary = deployment.frontend
     backup = deployment.backup_distributor()
     controller, registry, durability = _build_mgmt(
-        deployment, checkpoint_every=24, recovery_grace=0.4,
-        crash_plan=None)
+        deployment, checkpoint_every=24, crash_plan=None)
 
     state: dict[str, Any] = {
         "dispatched_at": None, "acked_at": None, "placed": False,
@@ -374,17 +361,14 @@ def run_promotion_episode(crash_at: Optional[float], seed: int = 1, *,
                     name="ha-recovery")
 
     pair = HaDistributorPair(
-        sim, primary, backup,
-        heartbeat_interval=heartbeat_interval,
-        misses_to_fail=misses_to_fail,
-        lease=DistributorLease(sim, lease_term),
-        recover_state=recover_state, tracer=tracer)
+        sim, primary, backup, heartbeat_interval=0.2, misses_to_fail=2,
+        lease=DistributorLease(sim, 0.5), recover_state=recover_state)
 
     doc = ContentItem("/ha/promo.html", 16384, ContentType.HTML)
     target = sorted(servers)[0]
 
     def driver():
-        yield sim.timeout(place_at)
+        yield sim.timeout(0.3)
         state["dispatched_at"] = sim.now
         try:
             yield from controller.place(doc, target)
@@ -399,7 +383,7 @@ def run_promotion_episode(crash_at: Optional[float], seed: int = 1, *,
             primary.crash()
             controller.crash()
         sim.schedule(crash_at, crash)
-    sim.run(until=horizon)
+    sim.run(until=6.0)
     pair.stop()
     for name in sorted(registry):
         registry[name].stop()

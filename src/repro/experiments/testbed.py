@@ -27,8 +27,7 @@ from ..net import Lan
 from ..sim import RngStream, Simulator
 from ..workload import RequestSampler, WebBenchRig, WorkloadSpec
 
-__all__ = ["ExperimentConfig", "Deployment", "build_deployment",
-           "wire_telemetry", "SCHEMES"]
+__all__ = ["ExperimentConfig", "Deployment", "build_deployment", "SCHEMES"]
 
 #: ``replication-lard`` is an extension scheme (the paper's future-work
 #: "more sophisticated load-balancing algorithm"): LARD over full
@@ -67,7 +66,7 @@ class ExperimentConfig:
     overload: Optional[OverloadConfig] = None
     #: attach a repro.obs tracer to the deployment: per-request spans,
     #: breaker/shed/pool point events, and a flight recorder.  Off by
-    #: default -- tracer=None keeps the event sequence byte-for-byte
+    #: default; on or off, the event sequence is byte-for-byte the same
     trace: bool = False
     #: attach a repro.obs KernelStats scheduler observer (with call-site
     #: attribution): per-event-class scheduled/fired/cancelled counts,
@@ -89,7 +88,8 @@ class ExperimentConfig:
 
 @dataclasses.dataclass
 class Deployment:
-    """A fully wired testbed ready to take client load."""
+    """A fully wired testbed ready to take client load; its observers
+    live on ``sim`` (``tracer``, ``kernel_stats``, ``telemetry``)."""
 
     config: ExperimentConfig
     sim: Simulator
@@ -102,19 +102,13 @@ class Deployment:
     sampler: RequestSampler
     rig: WebBenchRig
     nfs: Optional[NfsServer] = None
-    #: the repro.obs tracer, when config.trace is on
-    tracer: Optional[object] = None
-    #: the repro.obs KernelStats observer, when config.kernel_stats is on
-    kernel_stats: Optional[object] = None
-    #: the repro.obs TelemetrySampler, when config.telemetry is set
-    telemetry: Optional[object] = None
 
     def run(self, n_clients: int) -> dict:
         """Drive ``n_clients`` for the configured duration; return summary."""
         self.rig.start_clients(n_clients)
         self.sim.run(until=self.config.duration)
         self.rig.stop_clients()
-        tel = self.telemetry
+        tel = self.sim.telemetry
         if tel is not None:
             tel.finalize(self.sim.now)
         summary = self.rig.summary(self.config.duration)
@@ -136,8 +130,8 @@ class Deployment:
         if tel is not None:
             # additive: cells without telemetry keep their exact summary
             summary["telemetry"] = tel.summary()
-        if self.kernel_stats is not None:
-            summary["kernel_stats"] = self.kernel_stats.report()
+        if self.sim.kernel_stats is not None:
+            summary["kernel_stats"] = self.sim.kernel_stats.report()
         return summary
 
     def management_plane(self) -> tuple[Controller, dict[str, Broker]]:
@@ -150,7 +144,7 @@ class Deployment:
         harness's set-up fixes their place in the event order.
         """
         controller = Controller(self.sim, self.frontend.nic, self.url_table,
-                                self.doctree, tracer=self.tracer)
+                                self.doctree)
         brokers: dict[str, Broker] = {}
         for name in sorted(self.servers):
             controller.register_broker(Broker(
@@ -169,7 +163,7 @@ class Deployment:
         return ContentAwareDistributor(
             self.sim, self.lan, distributor_spec(), self.servers, UrlTable(),
             prefork=config.prefork, max_pool_size=config.max_pool_size,
-            warmup=config.warmup, tracer=self.tracer, name="dist-backup")
+            warmup=config.warmup, name="dist-backup")
 
 
 def _prewarm_caches(catalog: SiteCatalog,
@@ -203,15 +197,23 @@ def _prewarm_caches(catalog: SiteCatalog,
 
 
 def build_deployment(config: ExperimentConfig) -> Deployment:
-    """Construct the §5.1 cluster wired for ``config.scheme``."""
+    """Construct the §5.1 cluster wired for ``config.scheme``.
+
+    The one place a run's observers are created: each attaches to the
+    simulator before any component exists, so every component sees it.
+    """
     rng = RngStream(config.seed, f"exp/{config.scheme}/{config.workload.name}")
-    kernel_stats = None
+    sim = Simulator()
+    # local imports keep the observability layer optional for plain runs
+    if config.trace:
+        from ..obs import Tracer
+        Tracer(sim)
     if config.kernel_stats:
-        # local import keeps the observability layer optional for plain runs
         from ..obs import KernelStats
-        kernel_stats = KernelStats(callsites=True)
-    sim = Simulator(debug=config.debug_invariants,
-                    kernel_stats=kernel_stats)
+        KernelStats(callsites=True).attach(sim)
+    if config.telemetry is not None:
+        from ..obs import TelemetrySampler
+        TelemetrySampler(window=config.telemetry).attach(sim)
     lan = Lan(sim)
     specs = paper_testbed_specs()
     servers: dict[str, BackendServer] = {}
@@ -239,25 +241,19 @@ def build_deployment(config: ExperimentConfig) -> Deployment:
         path = url.split("?", 1)[0]
         return catalog.get(path) if path in catalog else None
 
-    tracer = None
-    if config.trace:
-        # local import keeps the observability layer optional for plain runs
-        from ..obs import Tracer
-        tracer = Tracer(sim)
-
     if config.scheme == "partition-ca":
         frontend: Frontend = ContentAwareDistributor(
             sim, lan, distributor_spec(), servers, url_table,
             prefork=config.prefork, max_pool_size=config.max_pool_size,
-            warmup=config.warmup, overload=config.overload, tracer=tracer)
+            warmup=config.warmup, overload=config.overload)
     elif config.scheme == "replication-lard":
         frontend = LardRouter(sim, lan, distributor_spec(), servers,
                               resolver, warmup=config.warmup,
-                              overload=config.overload, tracer=tracer)
+                              overload=config.overload)
     else:
         frontend = L4Router(sim, lan, distributor_spec(), servers,
                             resolver, warmup=config.warmup,
-                            overload=config.overload, tracer=tracer)
+                            overload=config.overload)
 
     if config.prewarm:
         _prewarm_caches(catalog, servers, nfs)
@@ -269,18 +265,12 @@ def build_deployment(config: ExperimentConfig) -> Deployment:
                       warmup=config.warmup,
                       think_time=config.workload.think_time,
                       rng=rng.substream("rig"))
-    telemetry = None
-    if config.telemetry is not None:
-        # local import keeps the observability layer optional for plain runs
-        from ..obs import TelemetrySampler
-        telemetry = TelemetrySampler(window=config.telemetry).attach(sim)
     deployment = Deployment(config=config, sim=sim, lan=lan, catalog=catalog,
                             servers=servers, frontend=frontend,
                             url_table=url_table, doctree=doctree,
-                            sampler=sampler, rig=rig, nfs=nfs, tracer=tracer,
-                            kernel_stats=kernel_stats, telemetry=telemetry)
-    if telemetry is not None:
-        wire_telemetry(telemetry, deployment)
+                            sampler=sampler, rig=rig, nfs=nfs)
+    if sim.telemetry is not None:
+        _wire_telemetry(deployment)
     if config.debug_invariants:
         # local import keeps the analysis layer optional for plain runs
         from ..analysis.invariants import install_invariants
@@ -288,23 +278,23 @@ def build_deployment(config: ExperimentConfig) -> Deployment:
     return deployment
 
 
-def wire_telemetry(sampler, deployment: Deployment, rig=None) -> None:
+def _wire_telemetry(deployment: Deployment) -> None:
     """Register the standard probe set on a freshly built deployment.
 
     Every probe is a read-only closure over existing counters --
     non-creating reads only (``counter_value``, ``state_of``,
     ``pools()``), so sampling can never materialize a collector, a
     breaker, or a pool that the un-instrumented run would not have.
-    Episode harnesses that drive their own rig (chaos/overload) pass it
-    via ``rig``; plain cells sample the deployment's own.
+    The client probes read ``deployment.rig`` when they sample, so an
+    episode harness that installs its own rig there is sampled instead.
     """
     sim = deployment.sim
-    if rig is None:
-        rig = deployment.rig
+    sampler = sim.telemetry
     frontend = deployment.frontend
     metrics = frontend.metrics
-    sampler.add_cumulative("requests", lambda: rig.meter.completions)
-    sampler.add_cumulative("client_errors", lambda: rig.errors)
+    sampler.add_cumulative("requests",
+                           lambda: deployment.rig.meter.completions)
+    sampler.add_cumulative("client_errors", lambda: deployment.rig.errors)
     sampler.add_cumulative(
         "sheds", lambda: metrics.counter_value("overload/shed"))
     sampler.add_cumulative(

@@ -38,13 +38,14 @@ class Controller:
     """Receives admin commands, dispatches agents, updates routing state."""
 
     def __init__(self, sim: Simulator, nic: Nic,
-                 url_table: UrlTable, doctree: DocTree, tracer=None):
+                 url_table: UrlTable, doctree: DocTree):
         self.sim = sim
         self.nic = nic
         self.url_table = url_table
         self.doctree = doctree
-        #: repro.obs tracer; every dispatch becomes an "agent" span
-        self.tracer = tracer
+        #: the simulator's repro.obs tracer; every dispatch becomes an
+        #: "agent" span
+        self.tracer = sim.tracer
         self.brokers: dict[str, Broker] = {}
         self._pending: dict[int, SimEvent] = {}
         #: applied to every dispatch that doesn't pass an explicit timeout;

@@ -270,9 +270,6 @@ class DurabilityConfig:
     #: flight at the crash land (their results are discarded) before
     #: intent resolution probes node truth
     recovery_grace: float = 0.5
-    #: default delay between a crash and the harness restarting the
-    #: controller (crash-point explorer / MgmtCrash default)
-    restart_delay: float = 0.6
 
 
 @dataclasses.dataclass(slots=True)
@@ -670,9 +667,7 @@ _RESOLVERS = {
 }
 
 
-def recover(controller, *, timeout: Optional[float] = 1.0,
-            grace: Optional[float] = None,
-            run_audit: bool = True) -> Generator:
+def recover(controller, *, timeout: Optional[float] = 1.0) -> Generator:
     """Replay durable state and resolve open intents against node truth.
 
     A simulation generator (run it under ``sim.process``).  Returns a
@@ -687,8 +682,7 @@ def recover(controller, *, timeout: Optional[float] = 1.0,
     if controller.tracer is not None:
         controller.tracer.point("recovery", "begin",
                                 boundaries=durability.boundaries)
-    if grace is None:
-        grace = durability.config.recovery_grace
+    grace = durability.config.recovery_grace
     if grace > 0:
         # let agents that were in flight at the crash land; their
         # results are discarded (their dispatch ids are no longer
@@ -732,26 +726,22 @@ def recover(controller, *, timeout: Optional[float] = 1.0,
             durability.log_abort(intent["op_id"], f"recovery: {reason}")
         # "deferred" leaves the intent open for the next pass
 
-    audit: dict[str, Any] = {"missing": [], "orphaned": [],
-                             "nodes_audited": 0}
     reconciled: list[str] = []
-    if run_audit:
+    audit = yield from controller.audit()
+    dirty = sorted({node for _path, node in audit["missing"]}
+                   | {node for _path, node in audit["orphaned"]})
+    for node in dirty:
+        summary = yield from controller.reconcile_node(node, timeout=timeout)
+        if "error" not in summary:
+            reconciled.append(node)
+    if dirty:
         audit = yield from controller.audit()
-        dirty = sorted({node for _path, node in audit["missing"]}
-                       | {node for _path, node in audit["orphaned"]})
-        for node in dirty:
-            summary = yield from controller.reconcile_node(
-                node, timeout=timeout)
-            if "error" not in summary:
-                reconciled.append(node)
-        if dirty:
-            audit = yield from controller.audit()
-        if controller.tracer is not None:
-            controller.tracer.point(
-                "recovery", "audit",
-                missing=len(audit["missing"]),
-                orphaned=len(audit["orphaned"]),
-                reconciled=len(reconciled))
+    if controller.tracer is not None:
+        controller.tracer.point(
+            "recovery", "audit",
+            missing=len(audit["missing"]),
+            orphaned=len(audit["orphaned"]),
+            reconciled=len(reconciled))
 
     consistency = durability.verify_consistency()
     report = RecoveryReport(

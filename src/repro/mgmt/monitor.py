@@ -53,9 +53,7 @@ class ClusterMonitor:
                  interval: float = 1.0,
                  misses_to_fail: int = 2,
                  re_replicate: bool = True,
-                 probe_timeout: Optional[float] = None,
-                 reconcile_on_recovery: bool = True,
-                 tracer=None):
+                 probe_timeout: Optional[float] = None):
         if interval <= 0:
             raise ValueError("interval must be positive")
         if misses_to_fail < 1:
@@ -67,9 +65,9 @@ class ClusterMonitor:
         self.misses_to_fail = misses_to_fail
         self.re_replicate = re_replicate
         self.probe_timeout = probe_timeout
-        self.reconcile_on_recovery = reconcile_on_recovery
-        #: repro.obs tracer; sweep verdicts become "monitor" point events
-        self.tracer = tracer
+        #: the simulator's repro.obs tracer; sweep verdicts become
+        #: "monitor" point events
+        self.tracer = sim.tracer
         self.events: list[NodeEvent] = []
         self.rounds = 0
         self._misses: dict[str, int] = {}
@@ -139,8 +137,7 @@ class ClusterMonitor:
         if self.tracer is not None:
             self.tracer.point("monitor", "mark-up", node=node)
         self.events.append(NodeEvent(at=self.sim.now, node=node, kind="up"))
-        if self.reconcile_on_recovery:
-            self._pending_reconcile.add(node)
+        self._pending_reconcile.add(node)
 
     def _reconcile(self, node: str) -> Generator:
         """Repair a recovered node's divergence from the URL table.

@@ -3,8 +3,8 @@
 Two observers complement the per-request tracer:
 
 ``KernelStats``
-    Scheduler introspection.  Installed via ``Simulator(kernel_stats=...)``
-    (or :meth:`KernelStats.attach`), it counts scheduled / fired /
+    Scheduler introspection.  Installed via :meth:`KernelStats.attach`
+    (as ``sim.kernel_stats``), it counts scheduled / fired /
     cancelled events per event class, tracks the event-heap high-water
     mark and the hot-timeout pool recycling rate, and -- with
     ``callsites=True`` -- attributes every enqueue to the subsystem
@@ -13,21 +13,23 @@ Two observers complement the per-request tracer:
     cache_hit) also report hit/fallback counts here.
 
 ``TelemetrySampler``
-    A fixed-window time-series sampler.  It is driven from
-    ``Simulator.step`` -- *never* by scheduled events -- so enabling it
-    cannot change ``event_count`` or the timeline: a window closes when
-    the first event fires at or after its edge (that event counts toward
-    the next window).  Registered probes are read-only callables sampled
-    at window close: gauges (instantaneous values such as utilization or
-    breaker state) and cumulative sources (monotone counts such as
-    completed requests, exported per window as deltas).
+    A fixed-window time-series sampler, installed via
+    :meth:`TelemetrySampler.attach` (as ``sim.telemetry``).  It is
+    driven from ``Simulator.step`` -- *never* by scheduled events -- so
+    enabling it cannot change ``event_count`` or the timeline: a window
+    closes when the first event fires at or after its edge (that event
+    counts toward the next window).  Registered probes are read-only
+    callables sampled at window close: gauges (instantaneous values such
+    as utilization or breaker state) and cumulative sources (monotone
+    counts such as completed requests, exported per window as deltas).
 
 Both observers obey the zero-perturbation contract of the tracer: they
 never create events, never mutate observed structures, and their
 deterministic exports (sorted-key JSONL, Prometheus text format) are
 byte-identical across runs and ``PYTHONHASHSEED`` values.  Host-side
-quantities (peak RSS) are kept out of the deterministic exports and only
-appear in human-facing renderings.
+quantities (the peak RSS each window records at close) are kept out of
+the deterministic exports unless explicitly asked for, and out of window
+equality.
 """
 
 from __future__ import annotations
@@ -208,9 +210,9 @@ class TelemetryWindow:
     events: int
     gauges: dict[str, float]
     deltas: dict[str, float]
-    #: host-side process high-water RSS at close (0 unless ``host_rss``);
-    #: excluded from deterministic exports
-    rss_kb: int = 0
+    #: host-side process high-water RSS at close; excluded from the
+    #: deterministic exports and from equality
+    rss_kb: int = field(default=0, compare=False)
 
     @property
     def span(self) -> float:
@@ -246,15 +248,13 @@ class TelemetrySampler:
     so they cover the whole run even after windows age out.
     """
 
-    def __init__(self, window: float = 0.5, ring: int = 256,
-                 host_rss: bool = False):
+    def __init__(self, window: float = 0.5, ring: int = 256):
         if window <= 0:
             raise ValueError(f"window must be positive, got {window!r}")
         if ring < 1:
             raise ValueError(f"ring must be >= 1, got {ring!r}")
         self.window = window
         self.ring = ring
-        self.host_rss = host_rss
         self.windows: list[TelemetryWindow] = []
         self.dropped = 0
         self.events_total = 0
@@ -325,9 +325,8 @@ class TelemetrySampler:
             self._base[name] = current
         win = TelemetryWindow(index=self._index, start=self._start, end=end,
                               events=self._events_in_window,
-                              gauges=gauges, deltas=deltas)
-        if self.host_rss:
-            win.rss_kb = peak_rss_kb()
+                              gauges=gauges, deltas=deltas,
+                              rss_kb=peak_rss_kb())
         if len(self.windows) >= self.ring:
             self.windows.pop(0)
             self.dropped += 1

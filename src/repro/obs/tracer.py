@@ -16,9 +16,12 @@ Two record shapes:
   transition, a splice-state change) and, when it is a decision, carries a
   machine-readable ``reason`` in its attrs.
 
-Components hold an ``Optional[Tracer]`` and guard every record with
+A tracer attaches itself to its simulator as ``sim.tracer``, beside
+``sim.kernel_stats`` and ``sim.telemetry``.  Each component copies
+``sim.tracer`` once, when it is built, and guards every record with
 ``if tracer is not None`` -- the same zero-overhead-when-off contract as
-``overload=None`` on the front end.
+``overload=None`` on the front end.  So a tracer must exist before the
+components it should observe.
 """
 
 from __future__ import annotations
@@ -106,13 +109,15 @@ class Tracer:
 
     One tracer serves a whole deployment; every instrumented component
     (front ends, pools, breakers, controller, monitor, HA pair, chaos
-    schedule) shares it so the timeline interleaves both planes.  All id
-    counters are *instance* state -- two tracers never share a sequence,
-    and a fresh deployment always numbers from 1.
+    schedule) built on ``sim`` after it shares it, so the timeline
+    interleaves both planes.  All id counters are *instance* state --
+    two tracers never share a sequence, and a fresh deployment always
+    numbers from 1.
     """
 
     def __init__(self, sim, ring: int = 512):
         self.sim = sim
+        sim.tracer = self
         self.events: list[TraceEvent] = []
         self.spans: list[Span] = []
         self.recorder = FlightRecorder(capacity=ring)

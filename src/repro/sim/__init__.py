@@ -8,14 +8,14 @@ from .engine import (AllOf, AnyOf, Injection, Interrupt, Process, SimEvent,
                      Simulator, StopSimulation, Timeout)
 from .metrics import (Counter, Histogram, MetricSet, SummaryStats,
                       ThroughputMeter, TimeWeighted)
-from .resources import Container, PriorityResource, Request, Resource, Store
+from .resources import Request, Resource, Store
 from .rng import (HybridSizeSampler, LognormalSampler, ParetoSampler,
                   RngStream, ZipfSampler)
 
 __all__ = [
     "Simulator", "SimEvent", "Timeout", "Process", "Interrupt",
     "AllOf", "AnyOf", "StopSimulation", "Injection",
-    "Resource", "PriorityResource", "Request", "Store", "Container",
+    "Resource", "Request", "Store",
     "RngStream", "ZipfSampler", "ParetoSampler", "LognormalSampler",
     "HybridSizeSampler",
     "Counter", "SummaryStats", "Histogram", "TimeWeighted",

@@ -463,11 +463,11 @@ class Injection:
 class Simulator:
     """The event loop: virtual clock plus a time-ordered event queue.
 
-    With ``debug=True`` the engine accepts invariant checks (see
-    :meth:`add_invariant`): zero-argument callables run periodically
-    between events, raising when a cross-structure coherence property
-    (URL table vs stores, pool lease balance, ...) does not hold.  The
-    hook costs nothing when no checks are registered.
+    The engine accepts invariant checks (see :meth:`add_invariant`):
+    zero-argument callables run periodically between events, raising
+    when a cross-structure coherence property (URL table vs stores, pool
+    lease balance, ...) does not hold.  The hook costs nothing when no
+    checks are registered.
 
     Fault injection uses the sibling hook :meth:`add_injection`: an
     apply/revert callable pair scheduled at virtual times, recorded on the
@@ -475,12 +475,10 @@ class Simulator:
     monkeypatching any component.
     """
 
-    def __init__(self, debug: bool = False,
-                 kernel_stats: Optional[Any] = None):
+    def __init__(self):
         self._now = 0.0
         self._eid = 0
         self._active_process: Optional[Process] = None
-        self.debug = debug
         #: calendar level 0: FIFO of events due at the *current* timestamp.
         #: Zero-delay enqueues land here in O(1) and drain in one batch.
         self._cur: deque[SimEvent] = deque()
@@ -504,11 +502,15 @@ class Simulator:
         self._invariants: list[list] = []
         #: fault injections registered via :meth:`add_injection`
         self.injections: list[Injection] = []
+        #: opt-in structured tracing (see :class:`repro.obs.Tracer`).
+        #: Components read it once, when they are built, and guard every
+        #: record on their own copy; the kernel itself never calls it.
+        self.tracer: Optional[Any] = None
         #: opt-in scheduler introspection (duck-typed; see
         #: :class:`repro.obs.KernelStats`).  ``None`` disables every hook.
         #: Like the tracer, the observer is strictly passive: it never
         #: creates events, so the timeline is byte-identical off and on.
-        self.kernel_stats = kernel_stats
+        self.kernel_stats: Optional[Any] = None
         #: opt-in windowed sampler (see :class:`repro.obs.TelemetrySampler`).
         #: Driven from :meth:`step` rather than by scheduled events, so
         #: enabling it cannot perturb ``event_count`` or the timeline.
@@ -718,13 +720,12 @@ class Simulator:
                       every: int = 1) -> None:
         """Run ``check()`` after every ``every``-th event.
 
-        Registering a check implies debug mode; the check should raise
-        (e.g. :class:`AssertionError`) when its invariant is violated,
-        which propagates out of :meth:`run` at the offending event.
+        The check should raise (e.g. :class:`AssertionError`) when its
+        invariant is violated, which propagates out of :meth:`run` at the
+        offending event.
         """
         if every < 1:
             raise ValueError("every must be >= 1")
-        self.debug = True
         self._invariants.append([check, every, every])
 
     # -- fault injection ------------------------------------------------------

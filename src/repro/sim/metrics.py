@@ -270,11 +270,6 @@ class MetricSet:
         c = self._counters.get(name)
         return c.count if c is not None else 0
 
-    def meter_value(self, name: str) -> int:
-        """Read a meter's completion count without creating it."""
-        m = self._meters.get(name)
-        return m.completions if m is not None else 0
-
     def snapshot(self, now: Optional[float] = None) -> dict:
         """A plain-dict view for reports and assertions.
 

@@ -4,13 +4,9 @@
     A counted resource (server slots, disk arms, NIC channels).  Processes
     ``yield resource.request()`` to acquire a unit and call
     ``resource.release(req)`` when done.  FIFO service order.
-``PriorityResource``
-    Same, but pending requests are served lowest-priority-value first.
 ``Store``
     An unbounded (or bounded) FIFO buffer of Python objects with blocking
     ``get``; the basic building block for mailboxes and queues.
-``Container``
-    A continuous level (bytes, tokens) with blocking ``put``/``get``.
 
 All primitives expose counters used by the metrics layer (peak queue length,
 total waits, utilization integrals).
@@ -23,8 +19,7 @@ from typing import Any, Callable, Optional
 from .engine import SimEvent, Simulator, Timeout
 from .engine import _PENDING
 
-__all__ = ["Request", "Resource", "PriorityResource", "Store", "Container",
-           "SEGMENT_SPLIT"]
+__all__ = ["Request", "Resource", "Store", "SEGMENT_SPLIT"]
 
 #: Sentinel delivered by a segmented hold's timeout when contention
 #: materialized the internal boundary: the holder must release at the
@@ -39,13 +34,12 @@ class Request(SimEvent):
     it is the handle passed to :meth:`Resource.release`.
     """
 
-    __slots__ = ("resource", "priority", "requested_at", "granted_at",
-                 "cancelled", "hold")
+    __slots__ = ("resource", "requested_at", "granted_at", "cancelled",
+                 "hold")
 
-    def __init__(self, resource: "Resource", priority: float = 0.0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.sim)
         self.resource = resource
-        self.priority = priority
         self.requested_at = resource.sim._now
         self.granted_at: Optional[float] = None
         self.cancelled = False
@@ -109,7 +103,7 @@ class Resource:
             self._last_change = now
 
     # -- protocol ------------------------------------------------------------
-    def _take_request(self, priority: float = 0.0) -> Request:
+    def _take_request(self) -> Request:
         """A fresh or recycled :class:`Request` (pool filled by release)."""
         pool = self._req_pool
         if pool:
@@ -118,15 +112,13 @@ class Resource:
             req._value = _PENDING
             req._exception = None
             req._defused = False
-            req.priority = priority
             req.requested_at = self.sim._now
             req.granted_at = None
             req.cancelled = False
             return req
-        return Request(self, priority)
+        return Request(self)
 
-    def request(self, priority: float = 0.0,
-                hold: Optional[float] = None) -> Request:
+    def request(self, hold: Optional[float] = None) -> Request:
         """Ask for one unit of the resource.  Yield the returned event.
 
         ``hold`` is the *grant-and-hold* collapse: when the caller
@@ -145,7 +137,7 @@ class Resource:
             # boundary: split the hold so the grant timeline is identical
             # to the event-by-event path.
             self._split_segment()
-        req = self._take_request(priority)
+        req = self._take_request()
         req.hold = hold
         self.total_requests += 1
         self.queue.append(req)
@@ -295,22 +287,6 @@ class Resource:
                 self.sim._enqueue(hold, nxt)
 
 
-class PriorityResource(Resource):
-    """A resource whose queue is served lowest ``priority`` value first.
-
-    Ties break FIFO (stable with respect to request order).
-    """
-
-    def _select_next(self) -> Optional[Request]:
-        best: Optional[Request] = None
-        for req in self.queue:
-            if req.cancelled:
-                continue
-            if best is None or req.priority < best.priority:
-                best = req
-        return best
-
-
 class Store:
     """A FIFO buffer of arbitrary items with blocking ``get``.
 
@@ -371,39 +347,3 @@ class Store:
         except ValueError:
             pass
 
-
-class Container:
-    """A continuous quantity with blocking ``get`` (put is immediate)."""
-
-    def __init__(self, sim: Simulator, init: float = 0.0,
-                 capacity: float = float("inf"), name: str = ""):
-        if init < 0 or init > capacity:
-            raise ValueError("init must satisfy 0 <= init <= capacity")
-        self.sim = sim
-        self.level = init
-        self.capacity = capacity
-        self.name = name
-        self._getters: list[tuple[float, SimEvent]] = []
-
-    def put(self, amount: float) -> None:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        self.level = min(self.capacity, self.level + amount)
-        self._drain()
-
-    def get(self, amount: float) -> SimEvent:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        ev = SimEvent(self.sim)
-        self._getters.append((amount, ev))
-        self._drain()
-        return ev
-
-    def _drain(self) -> None:
-        while self._getters:
-            amount, ev = self._getters[0]
-            if amount > self.level:
-                break
-            self._getters.pop(0)
-            self.level -= amount
-            ev.succeed(amount)

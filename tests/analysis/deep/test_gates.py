@@ -1,9 +1,15 @@
 """Gate-dominance analysis (GATE001-004): fixtures and mutation tests."""
 
 import ast
+import inspect
+
+import pytest
 
 from repro.analysis.deep import analyze_source
-from repro.analysis.deep.gates import GATES, analyze_gates
+from repro.analysis.deep.gates import (GATES, _class_optional_attrs,
+                                       analyze_gates)
+from repro.core import conn_pool, failover, frontend, splicer
+from repro.mgmt import controller, monitor
 
 
 def codes(src: str) -> list[tuple[str, int]]:
@@ -132,6 +138,39 @@ def test_gate001_gate_use_in_context_manager_expr_flagged():
         "        with self.tracer.begin('s', 'x') as span:\n"
         "            pass\n"
     ) == [("GATE001", 5)]
+
+
+def test_gate001_sim_tracer_copy_is_a_gate():
+    """The observer idiom: a component copies the simulator's Optional
+    slot once, and its tracer calls still need their guard."""
+    guarded = ("class Node:\n"
+               "    def __init__(self, sim):\n"
+               "        self.tracer = sim.tracer\n"
+               "    def handle(self):\n"
+               "        if self.tracer is not None:\n"
+               "            self.tracer.point('a', 'b')\n")
+    assert codes(guarded) == []
+    mutated = guarded.replace(
+        "        if self.tracer is not None:\n    ", "    ")
+    assert mutated != guarded
+    assert codes(mutated) == [("GATE001", 5)]
+
+
+@pytest.mark.parametrize("module, cls_name", [
+    (frontend, "Frontend"),
+    (conn_pool, "ConnectionPool"),
+    (failover, "HaDistributorPair"),
+    (splicer, "SplicingDistributor"),
+    (controller, "Controller"),
+    (monitor, "ClusterMonitor"),
+])
+def test_components_reading_sim_tracer_are_gated(module, cls_name):
+    """Every component that copies ``sim.tracer`` keeps its tracer calls
+    under GATE001."""
+    tree = ast.parse(inspect.getsource(module))
+    (cls,) = [n for n in tree.body
+              if isinstance(n, ast.ClassDef) and n.name == cls_name]
+    assert "tracer" in _class_optional_attrs(cls)
 
 
 # -- GATE002: overload control and friends -----------------------------

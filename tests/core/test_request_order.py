@@ -136,7 +136,7 @@ def run_stopped_cell(timelines) -> dict:
         "open_entries": len(fe.mapping),
         "leased": sum(pool.leased_count
                       for pool in fe.pools.pools().values()),
-        "trace": to_jsonl(dep.tracer),
+        "trace": to_jsonl(dep.sim.tracer),
     }
 
 

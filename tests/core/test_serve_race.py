@@ -41,7 +41,8 @@ class FakeServer:
 
 def build():
     stats = KernelStats()
-    sim = Simulator(kernel_stats=stats)
+    sim = Simulator()
+    stats.attach(sim)
     lan = Lan(sim)
     spec = paper_testbed_specs()[0]
     servers = {spec.name: BackendServer(sim, lan, spec)}

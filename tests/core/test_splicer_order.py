@@ -100,8 +100,7 @@ def run_scenario() -> dict:
     table.insert(ContentItem("/b.html", 20000, ContentType.IMAGE), {"s1"})
     table.insert(ContentItem("/c.html", 3000, ContentType.HTML), {"s2"})
     tracer = Tracer(sim, ring=100_000)
-    dist = SplicingDistributor(sim, net, table, backends, prefork=1,
-                               tracer=tracer)
+    dist = SplicingDistributor(sim, net, table, backends, prefork=1)
     dist.prefork_all()
     sim.run(until=0.01)
 

@@ -3,7 +3,8 @@ must merge to exactly the committed fixture, byte for byte.
 
 The sweep is seeded and deterministic, so this is an equality check, not
 a tolerance band.  If a change legitimately moves the numbers, regenerate
-the fixture and review the diff like any other behavioural change:
+the fixture and review the diff like any other behavioural change
+(``make golden`` regenerates it with the other golden fixtures):
 
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest \\
         tests/experiments/test_sweep_golden.py

@@ -131,8 +131,8 @@ class TestManagementPlane:
         assert plain.management_plane()[0].tracer is None
         traced = build_deployment(small("partition-ca", trace=True))
         controller, _ = traced.management_plane()
-        assert traced.tracer is not None
-        assert controller.tracer is traced.tracer
+        assert traced.sim.tracer is not None
+        assert controller.tracer is traced.sim.tracer
 
 
 class TestBackupDistributor:
@@ -152,4 +152,4 @@ class TestBackupDistributor:
 
     def test_tracer_passed_through(self):
         dep = build_deployment(small("partition-ca", trace=True))
-        assert dep.backup_distributor().tracer is dep.tracer
+        assert dep.backup_distributor().tracer is dep.sim.tracer

@@ -234,8 +234,6 @@ class TestControllerDurability:
             durability.take_checkpoint()
 
     def test_config_fields(self):
-        config = DurabilityConfig(checkpoint_every=7, recovery_grace=0.1,
-                                  restart_delay=0.2)
+        config = DurabilityConfig(checkpoint_every=7, recovery_grace=0.1)
         fields = {f.name for f in dataclasses.fields(config)}
-        assert fields == {"checkpoint_every", "recovery_grace",
-                          "restart_delay"}
+        assert fields == {"checkpoint_every", "recovery_grace"}

@@ -36,6 +36,16 @@ class TestTelemetryCli:
         assert "heap_depth" in window["gauges"]
         assert "rss_kb" not in window, "host readings are opt-in"
 
+    def test_jsonl_host_export_reads_rss(self, tmp_path, capsys):
+        path = tmp_path / "tel.jsonl"
+        rc = main(["telemetry"] + ARGS + ["--jsonl", str(path), "--host"])
+        assert rc == 0
+        records = [json.loads(line)
+                   for line in path.read_text().strip().split("\n")]
+        windows = [r for r in records if r["rec"] == "window"]
+        assert windows
+        assert all(w["rss_kb"] > 0 for w in windows)
+
     def test_prometheus_export(self, tmp_path, capsys):
         path = tmp_path / "tel.prom"
         rc = main(["telemetry"] + ARGS + ["--prom", str(path)])

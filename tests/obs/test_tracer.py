@@ -4,6 +4,14 @@ import json
 
 import pytest
 
+from repro.cluster import BackendServer, distributor_spec, paper_testbed_specs
+from repro.content import DocTree
+from repro.core import (ConnectionPool, ContentAwareDistributor, Frontend,
+                        HaDistributorPair, L4Router, LardRouter,
+                        OverloadConfig, OverloadControl, PoolManager,
+                        RoutingView, SplicingDistributor, UrlTable)
+from repro.mgmt import ClusterMonitor, Controller
+from repro.net import Address, Lan, Network, Nic
 from repro.obs import (FlightRecorder, Span, TraceEvent, Tracer,
                        TraceSummary, format_event, pick_waterfall_trace,
                        render_waterfall, to_chrome_trace, to_jsonl)
@@ -93,6 +101,61 @@ class TestTracer:
         tracer.end(tracer.begin("request", "/x"))
         if before is not None:
             assert len(sim._queue) == before
+
+
+def build_observed(sim) -> dict:
+    """One of each component that reads ``sim.tracer`` when it is built,
+    mapped to the tracer it holds."""
+    lan = Lan(sim)
+    servers = {spec.name: BackendServer(sim, lan, spec)
+               for spec in paper_testbed_specs()[:2]}
+    view = RoutingView({name: 1.0 for name in servers})
+
+    def frontend(cls, *args, **kwargs):
+        return cls(sim, lan, distributor_spec(), servers, *args, **kwargs)
+
+    primary = frontend(ContentAwareDistributor, UrlTable())
+    backup = frontend(ContentAwareDistributor, UrlTable(), name="backup")
+    controller = Controller(sim, Nic(sim), UrlTable(), DocTree())
+    splicer = SplicingDistributor(sim, Network(sim), UrlTable(),
+                                  {"s1": Address("10.0.1.1", 80)})
+    overload = OverloadControl(sim, OverloadConfig(), view)
+    return {
+        "Frontend": frontend(Frontend).tracer,
+        "ContentAwareDistributor": primary.tracer,
+        "L4Router": frontend(L4Router, lambda url: None).tracer,
+        "LardRouter": frontend(LardRouter, lambda url: None).tracer,
+        "SplicingDistributor": splicer.tracer,
+        "ConnectionPool": ConnectionPool(sim, "s1").tracer,
+        # these two record nothing themselves: the manager's pools and
+        # the composite's breaker board hold the tracer
+        "PoolManager": PoolManager(sim).pool("s1").tracer,
+        "OverloadControl": overload.breakers.tracer,
+        "HaDistributorPair": HaDistributorPair(sim, primary, backup).tracer,
+        "ClusterMonitor": ClusterMonitor(sim, controller, view).tracer,
+        "Controller": controller.tracer,
+    }
+
+
+class TestSimulatorAttachment:
+    """A tracer attaches to its simulator; components find it there."""
+
+    def test_tracer_registers_on_its_simulator(self):
+        sim = Simulator()
+        assert sim.tracer is None
+        tracer = Tracer(sim)
+        assert sim.tracer is tracer
+
+    def test_components_built_without_a_tracer_hold_none(self):
+        held = build_observed(Simulator())
+        assert len(held) == 11
+        assert all(tracer is None for tracer in held.values()), held
+
+    def test_components_built_after_the_tracer_hold_it(self):
+        sim = Simulator()
+        tracer = Tracer(sim)
+        held = build_observed(sim)
+        assert all(t is tracer for t in held.values()), held
 
 
 class TestFlightRecorder:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Optional
+from typing import Optional
 
 import pytest
 
@@ -30,9 +30,8 @@ class HeapSimulator(Simulator):
     is checked against it.  It has no cancel-by-handle.
     """
 
-    def __init__(self, debug: bool = False,
-                 kernel_stats: Optional[Any] = None):
-        super().__init__(debug=debug, kernel_stats=kernel_stats)
+    def __init__(self):
+        super().__init__()
         self._heap: list[tuple[float, int, SimEvent]] = []
 
     def _enqueue(self, delay: float, event: SimEvent) -> None:
@@ -285,7 +284,8 @@ def test_run_until_boundary_parity():
 
 def test_step_fires_one_event_and_counts_batches():
     ks = KernelStats()
-    sim = Simulator(kernel_stats=ks)
+    sim = Simulator()
+    ks.attach(sim)
     seen: list[str] = []
     for name in "abc":
         sim.schedule(1.0, lambda n=name: seen.append(n))
@@ -309,7 +309,8 @@ def test_batch_dispatch_counts_every_fired_event():
     fired event belongs to exactly one reported batch."""
     def fresh():
         ks = KernelStats()
-        sim = Simulator(kernel_stats=ks)
+        sim = Simulator()
+        ks.attach(sim)
         for t in (1.0, 1.0, 2.0, 2.0, 2.0):
             sim.timeout(t)
         return sim, ks

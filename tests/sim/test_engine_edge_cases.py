@@ -202,7 +202,8 @@ class TestInterruptEdgeCases:
         value, and fires once (no timer armed in between can resume the
         finished generator later)."""
         stats = KernelStats()
-        sim = Simulator(kernel_stats=stats)
+        sim = Simulator()
+        stats.attach(sim)
         done = sim.event()
         done.succeed("stale")
         sim.run()

@@ -1,9 +1,8 @@
-"""Unit tests for Resource / PriorityResource / Store / Container."""
+"""Unit tests for Resource / Store."""
 
 import pytest
 
-from repro.sim import (Container, PriorityResource, Resource, Simulator,
-                       Store)
+from repro.sim import Resource, Simulator, Store
 
 
 @pytest.fixture
@@ -141,49 +140,6 @@ class TestResource:
         assert res.peak_queue_len == 3
 
 
-class TestPriorityResource:
-    def test_lowest_priority_value_first(self, sim):
-        res = PriorityResource(sim, capacity=1)
-        order = []
-
-        def holder():
-            req = yield res.request()
-            yield sim.timeout(1.0)
-            res.release(req)
-
-        def worker(name, prio):
-            req = yield res.request(priority=prio)
-            order.append(name)
-            res.release(req)
-
-        sim.process(holder())
-        sim.process(worker("low", 10))
-        sim.process(worker("high", 1))
-        sim.process(worker("mid", 5))
-        sim.run()
-        assert order == ["high", "mid", "low"]
-
-    def test_ties_break_fifo(self, sim):
-        res = PriorityResource(sim, capacity=1)
-        order = []
-
-        def holder():
-            req = yield res.request()
-            yield sim.timeout(1.0)
-            res.release(req)
-
-        def worker(name):
-            req = yield res.request(priority=5)
-            order.append(name)
-            res.release(req)
-
-        sim.process(holder())
-        for name in "abc":
-            sim.process(worker(name))
-        sim.run()
-        assert order == ["a", "b", "c"]
-
-
 class TestStore:
     def test_put_then_get(self, sim):
         store = Store(sim)
@@ -266,36 +222,3 @@ class TestStore:
         assert len(store) == 2
         assert store.peak_size == 2
 
-
-class TestContainer:
-    def test_init_validation(self, sim):
-        with pytest.raises(ValueError):
-            Container(sim, init=-1)
-        with pytest.raises(ValueError):
-            Container(sim, init=5, capacity=3)
-
-    def test_get_blocks_until_level_sufficient(self, sim):
-        tank = Container(sim, init=1.0)
-        got = []
-
-        def getter():
-            yield tank.get(3.0)
-            got.append(sim.now)
-
-        sim.process(getter())
-        sim.schedule(2.0, lambda: tank.put(2.0))
-        sim.run()
-        assert got == [2.0]
-        assert tank.level == 0.0
-
-    def test_put_clamped_to_capacity(self, sim):
-        tank = Container(sim, init=0.0, capacity=5.0)
-        tank.put(100.0)
-        assert tank.level == 5.0
-
-    def test_negative_amounts_rejected(self, sim):
-        tank = Container(sim)
-        with pytest.raises(ValueError):
-            tank.put(-1)
-        with pytest.raises(ValueError):
-            tank.get(-1)

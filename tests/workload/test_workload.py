@@ -234,7 +234,8 @@ class TestWebBenchRig:
         """A client submits inline: no Process or _Initialize event per
         request, only the clients' own start events."""
         stats = KernelStats()
-        sim = Simulator(kernel_stats=stats)
+        sim = Simulator()
+        stats.attach(sim)
         fe = FakeFrontend(sim)
         rig = self.make(sim, fe)
         rig.start_clients(3)
