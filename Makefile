@@ -81,10 +81,11 @@ sweep-smoke:
 recover:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro recover --explore
 
-## CI smoke: a bounded shard of the exploration (first 12 boundaries).
+## CI smoke: every crash point of the scripted episode for seeds 1 and 2
+## (61 boundaries each); exit 1 on any point that does not converge.
 recover-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro recover --explore \
-		--limit 12
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro recover --explore --seed 1
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro recover --explore --seed 2
 
 ## Regenerate every REPRO_UPDATE_GOLDEN fixture (metrics, recovery and
 ## the sweep smoke report) after a reviewed model change.

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..cluster import BackendServer, NodeSpec
-from ..content import ContentItem
 from ..net import HttpRequest, Lan
 from ..sim import Simulator
 from .conn_pool import PoolManager
@@ -143,18 +142,3 @@ class ContentAwareDistributor(Frontend):
 
     def release_backend(self, backend: str, token) -> None:
         self.pools.pool(backend).release(token)
-
-    # -- management-plane integration ------------------------------------
-    def register_content(self, item: ContentItem,
-                         locations: set[str]) -> None:
-        """Admin/controller API: add a document to the URL table."""
-        self.url_table.insert(item, locations)
-
-    def unregister_content(self, path: str) -> None:
-        self.url_table.remove(path)
-
-    def add_replica(self, path: str, node: str) -> None:
-        self.url_table.add_location(path, node)
-
-    def remove_replica(self, path: str, node: str) -> None:
-        self.url_table.remove_location(path, node)

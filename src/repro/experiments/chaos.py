@@ -93,10 +93,7 @@ class _HaEpisode:
         # the management plane must mutate *it* from now on, and the
         # backup's routing view must learn which nodes are down
         backup = self.backup
-        self.controller.url_table = backup.url_table
-        self.controller.nic = backup.nic
-        for name in sorted(self.brokers):
-            self.brokers[name].controller_nic = backup.nic
+        self.controller.rebind(backup.url_table, backup.nic)
         for node in sorted(self.monitor.down_nodes):
             backup.view.mark_down(node)
         self.monitor.view = backup.view
@@ -279,14 +276,8 @@ class ChaosRunner:
         finalize: dict = {}
 
         def finalize_pass():
-            audit = yield from controller.audit()
-            dirty = {node for _, node in audit["missing"]}
-            dirty |= {node for _, node in audit["orphaned"]}
-            finalize["reconciled"] = bool(dirty)
-            for node in sorted(dirty):
-                yield from controller.reconcile_node(node, timeout=1.0)
-            if dirty:
-                audit = yield from controller.audit()
+            audit, summaries = yield from controller.converge(1.0)
+            finalize["reconciled"] = bool(summaries)
             finalize["audit"] = audit
             finalize["done"] = True
 

@@ -43,16 +43,26 @@ __all__ = ["run_recovery_episode", "recovery_episode_fn",
            "collect_recovery_golden", "GOLDEN_RECOVERY_SCALE"]
 
 
-def _build_mgmt(deployment, *, checkpoint_every: int,
-                crash_plan: Optional[CrashPlan]):
-    """The management plane with durability attached, over a deployment."""
+def _build(seed: int, n_objects: int, trace: bool, *,
+           checkpoint_every: int, crash_plan: Optional[CrashPlan],
+           backup: bool = False):
+    """The §5.1 testbed both episodes run on: a deployment, optionally
+    the §2.3 backup distributor, then the management plane with
+    durability attached.  Returns ``(deployment, backup, controller,
+    brokers, durability)``."""
+    config = ExperimentConfig(
+        scheme="partition-ca", workload=WORKLOAD_A, seed=seed,
+        n_objects=n_objects, warmup=0.25, duration=4.0,
+        n_client_machines=2, prewarm=False, trace=trace)
+    deployment = build_deployment(config)
+    standby = deployment.backup_distributor() if backup else None
     controller, registry = deployment.management_plane()
     controller.default_timeout = 1.0
     durability = ControllerDurability(DurabilityConfig(
         checkpoint_every=checkpoint_every, recovery_grace=0.4))
     durability.attach(controller)
     durability.crash_plan = crash_plan
-    return controller, registry, durability
+    return deployment, standby, controller, registry, durability
 
 
 def _scripted_ops(controller: Controller, deployment) \
@@ -102,14 +112,10 @@ def run_recovery_episode(seed: int = 1,
     consistency check, and the invariant verdict.  ``converged`` is the
     survival property the crash-point explorer asserts.
     """
-    config = ExperimentConfig(
-        scheme="partition-ca", workload=WORKLOAD_A, seed=seed,
-        n_objects=n_objects, warmup=0.25, duration=4.0,
-        n_client_machines=2, prewarm=False, trace=trace)
-    deployment = build_deployment(config)
+    deployment, _, controller, registry, durability = _build(
+        seed, n_objects, trace, checkpoint_every=checkpoint_every,
+        crash_plan=crash_plan)
     sim = deployment.sim
-    controller, registry, durability = _build_mgmt(
-        deployment, checkpoint_every=checkpoint_every, crash_plan=crash_plan)
     ops = _scripted_ops(controller, deployment)
 
     state: dict[str, Any] = {
@@ -123,8 +129,7 @@ def run_recovery_episode(seed: int = 1,
         yield sim.timeout(restart_delay)
         controller.restart()
         state["restarted_at"] = sim.now
-        report = yield from recover(controller, timeout=1.0)
-        state["recovery"] = report
+        state["recovery"] = yield from recover(controller, timeout=1.0)
 
     def orchestrate():
         for name, factory in ops:
@@ -140,15 +145,7 @@ def run_recovery_episode(seed: int = 1,
         # boundary may land inside these dispatches too)
         while True:
             try:
-                audit = yield from controller.audit()
-                dirty = sorted(
-                    {node for _path, node in audit["missing"]}
-                    | {node for _path, node in audit["orphaned"]})
-                for node in dirty:
-                    yield from controller.reconcile_node(node, timeout=1.0)
-                if dirty:
-                    audit = yield from controller.audit()
-                state["audit"] = audit
+                state["audit"], _ = yield from controller.converge(1.0)
                 state["done"] = True
                 return
             except ControllerCrashed:
@@ -331,16 +328,10 @@ def run_promotion_episode(crash_at: Optional[float], seed: int = 1, *,
     either fully exists (routed and physically present) or fully does
     not, never half of it.
     """
-    config = ExperimentConfig(
-        scheme="partition-ca", workload=WORKLOAD_A, seed=seed,
-        n_objects=40, warmup=0.25, duration=4.0,
-        n_client_machines=2, prewarm=False, trace=trace)
-    deployment = build_deployment(config)
+    deployment, backup, controller, registry, durability = _build(
+        seed, 40, trace, checkpoint_every=24, crash_plan=None, backup=True)
     sim, servers = deployment.sim, deployment.servers
     primary = deployment.frontend
-    backup = deployment.backup_distributor()
-    controller, registry, durability = _build_mgmt(
-        deployment, checkpoint_every=24, crash_plan=None)
 
     state: dict[str, Any] = {
         "dispatched_at": None, "acked_at": None, "placed": False,
@@ -351,10 +342,7 @@ def run_promotion_episode(crash_at: Optional[float], seed: int = 1, *,
         # the standby takes over from durable truth: rebind the
         # management plane onto the backup, rebuild its table from the
         # WAL, and resolve interrupted intents against node truth
-        controller.url_table = backup.url_table
-        controller.nic = backup.nic
-        for name in sorted(registry):
-            registry[name].controller_nic = backup.nic
+        controller.rebind(backup.url_table, backup.nic)
         durability.restore_tables(backup.url_table, deployment.doctree)
         controller.restart()
         sim.process(recover(controller, timeout=1.0),

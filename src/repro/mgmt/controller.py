@@ -5,17 +5,25 @@ requests from the administrator and then invoking brokers to perform the
 delegated tasks by dispatching the corresponding agents.  The controller
 resides on the distributor."
 
-Every management mutation follows the same shape: dispatch agent(s), await
-their results, and -- only on success -- update the URL table and the
-document tree so the distributor routes to the new reality.  The controller
-also implements the :class:`repro.core.loadbalance.ReplicationActuator`
-protocol (``replicate``/``offload``), which is how §3.3's auto-replication
-acts on the cluster.
+Every management operation follows the same shape: open a WAL intent
+(``_intent``), dispatch agent(s), await their results, and -- only on
+success -- change routing through :meth:`Controller.apply`, so the
+distributor routes to the new reality.  ``apply`` writes the mutation ahead
+to the WAL, then hands it to :func:`repro.mgmt.durability.apply_route`, the
+one definition of what a mutation does to the URL table and the document
+tree, which WAL replay shares.  ``reconcile_node`` and the cluster monitor
+change routing through ``apply`` too; ``converge`` is the audit/reconcile
+anti-entropy pass and ``rebind`` moves the plane onto a promoted standby
+distributor.  The controller also implements the
+:class:`repro.core.loadbalance.ReplicationActuator` protocol
+(``replicate``/``offload``), which is how §3.3's auto-replication acts on
+the cluster.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+import contextlib
+from typing import Any, Generator, Iterator, Optional
 
 from ..content import ContentItem, DocTree
 from ..core.url_table import UrlTable, UrlTableError
@@ -24,7 +32,7 @@ from ..sim import SimEvent, Simulator
 from .agents import (Agent, CopyAgent, DeleteAgent, InventoryAgent,
                      RenameAgent, StatusAgent, UpdateAgent, VerifyAgent)
 from .broker import Broker
-from .durability import ControllerCrashed, item_to_payload
+from .durability import ControllerCrashed, apply_route, item_to_payload
 from .messages import AgentDispatch, AgentResult, StatusReport
 
 __all__ = ["Controller", "ManagementError"]
@@ -82,6 +90,15 @@ class Controller:
             if ev is not None:
                 ev.succeed(result)
 
+    def rebind(self, url_table: UrlTable, nic: Nic) -> None:
+        """Move the management plane onto a promoted standby distributor:
+        mutate its URL table, send from its NIC, and have every broker
+        answer there."""
+        self.url_table = url_table
+        self.nic = nic
+        for name in sorted(self.brokers):
+            self.brokers[name].controller_nic = nic
+
     # -- crash / restart (durable-state contract) ---------------------------
     def crash(self) -> None:
         """Kill the controller process.
@@ -119,15 +136,42 @@ class Controller:
         if self.tracer is not None:
             self.tracer.point("recovery", "controller-restart")
 
-    def wal_apply(self, action: str, **payload) -> None:
-        """Write-ahead one routing mutation (no-op without durability).
+    # -- routing mutations ---------------------------------------------------
+    def apply(self, action: str, **payload: Any) -> None:
+        """Change the URL table and the document tree.
 
-        Callers that mutate the URL table / document tree directly (the
-        cluster monitor, ``reconcile_node``) log through here *before*
-        mutating, preserving the write-ahead ordering.
+        The mutation is written ahead to the WAL (when durability is
+        attached), then applied by :func:`apply_route`.  ``item``, where
+        given, is the :class:`ContentItem` itself; only the WAL record
+        encodes it.
         """
         if self.durability is not None:
-            self.durability.log_apply(action, dict(payload))
+            logged = payload
+            if "item" in payload:
+                logged = {**payload, "item": item_to_payload(payload["item"])}
+            self.durability.log_apply(action, logged)
+        apply_route(self.url_table, self.doctree, action, payload)
+
+    @contextlib.contextmanager
+    def _intent(self, op: str, payload: dict[str, Any]) -> Iterator[None]:
+        """Bracket one management operation in the WAL.
+
+        The intent is logged before the body runs and committed after
+        it.  A body that raises :class:`ManagementError` or
+        :class:`UrlTableError` aborts it; a crash leaves it open for
+        :func:`repro.mgmt.durability.recover` to resolve.
+        """
+        durability = self.durability
+        if durability is None:
+            yield
+            return
+        op_id = durability.log_intent(op, payload)
+        try:
+            yield
+        except (ManagementError, UrlTableError) as exc:
+            durability.log_abort(op_id, str(exc))
+            raise
+        durability.log_commit(op_id)
 
     # -- the dispatch primitive ----------------------------------------------
     def execute(self, agent: Agent, node: str,
@@ -191,32 +235,16 @@ class Controller:
     def place(self, item: ContentItem, node: str,
               source: Optional[str] = None) -> Generator:
         """Install a document on ``node`` and make it routable there."""
-        op_id = None
-        if self.durability is not None:
-            op_id = self.durability.log_intent("place", {
-                "path": item.path, "node": node, "source": source,
-                "item": item_to_payload(item)})
-        try:
+        with self._intent("place", {"path": item.path, "node": node,
+                                    "source": source,
+                                    "item": item_to_payload(item)}):
             result = yield from self.execute(
                 CopyAgent(item, source=source), node)
             if not (result.ok and result.detail.get("copied")):
                 raise ManagementError(
                     f"place {item.path} on {node} failed: {result.detail}")
-            self.wal_apply("route-add", path=item.path, node=node,
-                           item=item_to_payload(item))
-            if item.path in self.url_table:
-                self.url_table.add_location(item.path, node)
-                self.doctree.file(item.path).locations.add(node)
-            else:
-                self.url_table.insert(item, {node})
-                self.doctree.insert(item, {node})
-        except (ManagementError, UrlTableError) as exc:
-            if self.durability is not None and op_id is not None:
-                self.durability.log_abort(op_id, str(exc))
-            raise
-        self.log.append((self.sim.now, "place", item.path, node))
-        if self.durability is not None and op_id is not None:
-            self.durability.log_commit(op_id)
+            self.apply("route-add", path=item.path, node=node, item=item)
+            self.log.append((self.sim.now, "place", item.path, node))
         return result
 
     def replicate(self, path: str, node: str) -> Generator:
@@ -225,27 +253,16 @@ class Controller:
         if node in record.locations:
             return None
         source = sorted(record.locations)[0]
-        op_id = None
-        if self.durability is not None:
-            op_id = self.durability.log_intent("replicate", {
-                "path": path, "node": node, "source": source,
-                "item": item_to_payload(record.item)})
-        try:
+        with self._intent("replicate", {"path": path, "node": node,
+                                        "source": source,
+                                        "item": item_to_payload(record.item)}):
             result = yield from self.execute(
                 CopyAgent(record.item, source=source), node)
             if not (result.ok and result.detail.get("copied")):
                 raise ManagementError(
                     f"replicate {path} to {node} failed: {result.detail}")
-            self.wal_apply("route-add", path=path, node=node)
-            self.url_table.add_location(path, node)
-            self.doctree.file(path).locations.add(node)
-        except (ManagementError, UrlTableError) as exc:
-            if self.durability is not None and op_id is not None:
-                self.durability.log_abort(op_id, str(exc))
-            raise
-        self.log.append((self.sim.now, "replicate", path, node))
-        if self.durability is not None and op_id is not None:
-            self.durability.log_commit(op_id)
+            self.apply("route-add", path=path, node=node)
+            self.log.append((self.sim.now, "replicate", path, node))
         return result
 
     def offload(self, path: str, node: str) -> Generator:
@@ -253,83 +270,53 @@ class Controller:
         server').  Routing is updated *before* the physical delete so no
         request races onto the disappearing copy; the last copy is never
         offloaded."""
-        op_id = None
-        if self.durability is not None:
-            op_id = self.durability.log_intent(
-                "offload", {"path": path, "node": node})
-        try:
-            self.wal_apply("route-drop", path=path, node=node)
-            self.url_table.remove_location(path, node)  # raises on last copy
-            self.doctree.file(path).locations.discard(node)
+        with self._intent("offload", {"path": path, "node": node}):
+            self.apply("route-drop", path=path, node=node)
             result = yield from self.execute(DeleteAgent(path), node)
             if not result.ok:
                 raise ManagementError(
                     f"offload {path} from {node} failed: {result.detail}")
-        except (ManagementError, UrlTableError) as exc:
-            if self.durability is not None and op_id is not None:
-                self.durability.log_abort(op_id, str(exc))
-            raise
-        self.log.append((self.sim.now, "offload", path, node))
-        if self.durability is not None and op_id is not None:
-            self.durability.log_commit(op_id)
+            self.log.append((self.sim.now, "offload", path, node))
         return result
 
     def remove_document(self, path: str) -> Generator:
         """Delete a document everywhere and unregister it."""
-        record = self.url_table.lookup(path)
-        nodes = sorted(record.locations)
-        op_id = None
-        if self.durability is not None:
-            op_id = self.durability.log_intent(
-                "remove", {"path": path, "nodes": nodes})
-        for node in nodes:
-            yield from self.execute(DeleteAgent(path), node)
-        self.wal_apply("route-remove", path=path)
-        self.url_table.remove(path)
-        self.doctree.delete(path)
-        self.log.append((self.sim.now, "remove", path, ",".join(nodes)))
-        if self.durability is not None and op_id is not None:
-            self.durability.log_commit(op_id)
+        nodes = sorted(self.url_table.lookup(path).locations)
+        with self._intent("remove", {"path": path, "nodes": nodes}):
+            for node in nodes:
+                yield from self.execute(DeleteAgent(path), node)
+            self.apply("route-remove", path=path)
+            self.log.append((self.sim.now, "remove", path, ",".join(nodes)))
 
     def rename_document(self, old: str, new_item: ContentItem) -> Generator:
-        """Rename a document on every node holding it."""
-        record = self.url_table.lookup(old)
-        nodes = sorted(record.locations)
-        op_id = None
-        if self.durability is not None:
-            op_id = self.durability.log_intent("rename", {
-                "old": old, "path": new_item.path,
-                "item": item_to_payload(new_item), "nodes": nodes})
-        try:
+        """Rename a document on every node holding it.
+
+        A target that is already routed (including ``old`` itself) is
+        refused before any agent runs.
+        """
+        nodes = sorted(self.url_table.lookup(old).locations)
+        if new_item.path in self.url_table:
+            raise ManagementError(
+                f"rename {old}: {new_item.path} is already routed")
+        with self._intent("rename", {"old": old, "path": new_item.path,
+                                     "item": item_to_payload(new_item),
+                                     "nodes": nodes}):
             for node in nodes:
                 result = yield from self.execute(
                     RenameAgent(old, new_item), node)
                 if not (result.ok and result.detail.get("renamed")):
                     raise ManagementError(
                         f"rename {old} on {node} failed: {result.detail}")
-            self.wal_apply("route-rename", old=old, path=new_item.path,
-                           item=item_to_payload(new_item), nodes=nodes)
-            self.url_table.remove(old)
-            self.url_table.insert(new_item, set(nodes))
-            self.doctree.delete(old)
-            self.doctree.insert(new_item, set(nodes))
-        except (ManagementError, UrlTableError) as exc:
-            if self.durability is not None and op_id is not None:
-                self.durability.log_abort(op_id, str(exc))
-            raise
-        self.log.append((self.sim.now, "rename", old, new_item.path))
-        if self.durability is not None and op_id is not None:
-            self.durability.log_commit(op_id)
+            self.apply("route-rename", old=old, path=new_item.path,
+                       item=new_item, nodes=nodes)
+            self.log.append((self.sim.now, "rename", old, new_item.path))
 
     def update_content(self, item: ContentItem) -> Generator:
         """Push a new version of a mutable document to all replicas (§4)."""
         record = self.url_table.lookup(item.path)
-        op_id = None
-        if self.durability is not None:
-            op_id = self.durability.log_intent("update", {
-                "path": item.path, "item": item_to_payload(item),
-                "nodes": sorted(record.locations)})
-        try:
+        with self._intent("update", {"path": item.path,
+                                     "item": item_to_payload(item),
+                                     "nodes": sorted(record.locations)}):
             for node in sorted(record.locations):
                 result = yield from self.execute(UpdateAgent(item), node)
                 if not (result.ok and result.detail.get("updated")):
@@ -337,22 +324,14 @@ class Controller:
                         f"update {item.path} on {node} failed: "
                         f"{result.detail}")
             # the dispatch loop yields: a concurrent remove/rename may have
-            # dropped the record while agents were in flight -- revalidate
-            # before writing through the pre-yield handle
+            # dropped the record while agents were in flight
             if record.path not in self.url_table:
                 raise ManagementError(
                     f"update {item.path}: document removed during update")
-            self.wal_apply("route-size", path=item.path,
-                           size_bytes=item.size_bytes)
-            record.item.size_bytes = item.size_bytes
-        except (ManagementError, UrlTableError) as exc:
-            if self.durability is not None and op_id is not None:
-                self.durability.log_abort(op_id, str(exc))
-            raise
-        self.log.append((self.sim.now, "update", item.path,
-                         ",".join(sorted(record.locations))))
-        if self.durability is not None and op_id is not None:
-            self.durability.log_commit(op_id)
+            self.apply("route-size", path=item.path,
+                       size_bytes=item.size_bytes)
+            self.log.append((self.sim.now, "update", item.path,
+                             ",".join(sorted(record.locations))))
 
     # -- monitoring / consistency -----------------------------------------
     def status_all(self) -> Generator:
@@ -431,34 +410,42 @@ class Controller:
             "rejoined": [], "purged": [], "dropped": [], "lost": []}
         for path in sorted(stored - routed):
             if path in self.url_table:
-                self.wal_apply("route-add", path=path, node=node)
-                self.url_table.add_location(path, node)
-                if self.doctree.exists(path):
-                    self.doctree.file(path).locations.add(node)
+                self.apply("route-add", path=path, node=node)
                 summary["rejoined"].append(path)
             else:
                 yield from self.execute(DeleteAgent(path), node,
                                         timeout=timeout)
                 summary["purged"].append(path)
         for path in sorted(routed - stored):
-            locations = self.url_table.locations(path)
-            if len(locations) > 1:
-                self.wal_apply("route-drop", path=path, node=node)
-                self.url_table.remove_location(path, node)
-                if self.doctree.exists(path):
-                    self.doctree.file(path).locations.discard(node)
+            if len(self.url_table.locations(path)) > 1:
+                self.apply("route-drop", path=path, node=node)
                 summary["dropped"].append(path)
             else:
-                self.wal_apply("route-remove", path=path)
-                self.url_table.remove(path)
-                if self.doctree.exists(path):
-                    self.doctree.delete(path)
+                self.apply("route-remove", path=path)
                 summary["lost"].append(path)
         if any(summary.values()):
             self.log.append((self.sim.now, "reconcile", node,
                              ",".join(f"{k}={len(v)}"
                                       for k, v in sorted(summary.items()))))
         return summary
+
+    def converge(self, timeout: Optional[float] = None) -> Generator:
+        """The anti-entropy pass: audit the cluster, reconcile every node
+        the audit finds dirty, and audit again if there was one.
+
+        Returns ``(audit, summaries)``: the last audit and each dirty
+        node's :meth:`reconcile_node` summary, in node order.
+        """
+        audit = yield from self.audit()
+        dirty = sorted({node for _path, node in audit["missing"]}
+                       | {node for _path, node in audit["orphaned"]})
+        summaries = {}
+        for node in dirty:
+            summaries[node] = yield from self.reconcile_node(
+                node, timeout=timeout)
+        if dirty:
+            audit = yield from self.audit()
+        return audit, summaries
 
     def verify_placement(self, path: str) -> Generator:
         """Cross-check the URL table against every node's store."""

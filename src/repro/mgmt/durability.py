@@ -14,8 +14,11 @@ contract:
                  matching ``commit``/``abort``);
   - ``dispatch`` an agent is about to be handed to a broker;
   - ``apply``    a routing mutation is about to be applied to the URL
-                 table / document tree (idempotent-apply contract: the
-                 same ``apply`` may be replayed any number of times);
+                 table / document tree by :func:`apply_route`, the one
+                 definition of each action, shared by the live controller
+                 and replay (replay goes through the :func:`replay_apply`
+                 idempotency guard, so the same ``apply`` may be replayed
+                 any number of times);
   - ``commit`` / ``abort``  the intent reached a terminal state.
 
 * **Checkpoints** -- periodically the live tables are snapshotted into the
@@ -24,7 +27,9 @@ contract:
 * **Recovery** -- :func:`recover` replays checkpoint+WAL, recomputes the
   set of open intents, then resolves each one against node-agent truth
   (VerifyAgent probes, re-dispatched Delete/Update/Rename agents, and a
-  final audit + :meth:`Controller.reconcile_node` anti-entropy pass).
+  final :meth:`Controller.converge` anti-entropy pass).  One replay loop
+  (:meth:`ControllerDurability.replay_into`) serves recovery, the
+  consistency check and a standby's table restore.
   Every resolution is emitted as a reasoned ``recovery`` trace event via
   :mod:`repro.obs`.
 
@@ -47,7 +52,8 @@ import json
 from typing import Any, Generator, Optional
 
 from ..content import ContentItem, ContentType, DocTree, Priority
-from ..core.url_table import UrlTable
+from ..core.url_table import UrlTable, UrlTableError
+from .agents import DeleteAgent, RenameAgent, UpdateAgent, VerifyAgent
 
 __all__ = [
     "ControllerCrashed",
@@ -58,6 +64,7 @@ __all__ = [
     "RecoveryReport",
     "WalCorruption",
     "WalRecord",
+    "apply_route",
     "item_from_payload",
     "item_to_payload",
     "recover",
@@ -169,7 +176,7 @@ class ControllerWal:
         return self.checkpoint, tuple(self.records)
 
 
-# -- snapshots & the idempotent-apply contract ------------------------------
+# -- snapshots & the one apply path -----------------------------------------
 
 def snapshot_records(url_table: UrlTable) -> list[dict[str, Any]]:
     """A canonical (sorted, JSON-able) rendering of the routing state."""
@@ -182,80 +189,97 @@ def snapshot_records(url_table: UrlTable) -> list[dict[str, Any]]:
     return rows
 
 
-def replay_apply(url_table: UrlTable, doctree: DocTree,
-                 action: str, payload: dict[str, Any]) -> bool:
-    """Apply one routing mutation idempotently.
+_ACTIONS = ("route-add", "route-drop", "route-remove", "route-rename",
+            "route-size")
 
-    Every action is an *ensure* operation: replaying it against a table
-    that already reflects it (or reflects any later history) is a no-op.
-    Returns True when state changed.  Raises :class:`WalCorruption` for
-    an apply that cannot be interpreted (e.g. ``route-add`` for an
-    unknown document with no item payload).
+
+def apply_route(url_table: UrlTable, doctree: DocTree,
+                action: str, payload: dict[str, Any]) -> None:
+    """Apply one routing mutation to the URL table and the document tree.
+
+    The one definition of each WAL ``apply`` action, shared by the live
+    controller (:meth:`Controller.apply`) and by replay
+    (:func:`replay_apply`); ``payload["item"]`` is a :class:`ContentItem`.
+
+    * ``route-add``    adds ``node`` to ``path``, or inserts ``item`` at
+                       ``node`` when ``path`` is not routed;
+    * ``route-drop``   drops ``node`` from ``path``;
+    * ``route-remove`` unroutes ``path``;
+    * ``route-rename`` moves ``old`` to ``item`` at the ``nodes`` the
+                       rename's intent recorded;
+    * ``route-size``   sets the routed item's size.
+
+    A mutation the URL table refuses -- an unknown path, the last copy, a
+    routed rename target -- raises :class:`UrlTableError` and changes
+    neither table.
     """
+    path = payload["path"]
     if action == "route-add":
-        path, node = payload["path"], payload["node"]
-        if path in url_table:
-            if node in url_table.locations(path):
-                return False
+        node, item = payload["node"], payload.get("item")
+        if item is None or path in url_table:
             url_table.add_location(path, node)
             if doctree.exists(path):
                 doctree.file(path).locations.add(node)
-            return True
-        item_payload = payload.get("item")
-        if item_payload is None:
-            # a location-only add for a document this table no longer
-            # knows: a later record in the suffix removed it, so the
-            # add is moot (verify_consistency catches real corruption)
-            return False
-        item = item_from_payload(item_payload)
-        url_table.insert(item, {node})
-        doctree.insert(item, {node})
-        return True
-    if action == "route-drop":
-        path, node = payload["path"], payload["node"]
-        if path not in url_table:
-            return False
-        locations = url_table.locations(path)
-        if node not in locations or len(locations) <= 1:
-            return False
-        url_table.remove_location(path, node)
+        else:
+            url_table.insert(item, {node})
+            doctree.insert(item, {node})
+    elif action == "route-drop":
+        url_table.remove_location(path, payload["node"])
         if doctree.exists(path):
-            doctree.file(path).locations.discard(node)
-        return True
-    if action == "route-remove":
-        path = payload["path"]
-        if path not in url_table:
-            return False
+            doctree.file(path).locations.discard(payload["node"])
+    elif action == "route-remove":
         url_table.remove(path)
         if doctree.exists(path):
             doctree.delete(path)
-        return True
-    if action == "route-rename":
-        old, item_payload = payload["old"], payload["item"]
-        new_item = item_from_payload(item_payload)
-        if old in url_table:
-            record = url_table.remove(old)
-            locations = set(record.locations)
-            if doctree.exists(old):
-                doctree.delete(old)
-        elif new_item.path in url_table:
-            return False
-        else:
-            locations = set(payload["nodes"])
-        url_table.insert(new_item, locations)
-        if not doctree.exists(new_item.path):
-            doctree.insert(new_item, locations)
-        return True
-    if action == "route-size":
-        path, size = payload["path"], payload["size_bytes"]
-        if path not in url_table:
-            return False
-        record = url_table.record(path)
-        if record.item.size_bytes == size:
-            return False
-        record.item.size_bytes = size
-        return True
-    raise WalCorruption(f"unknown apply action {action!r}")
+    elif action == "route-rename":
+        old, item, nodes = payload["old"], payload["item"], payload["nodes"]
+        if path in url_table:
+            raise UrlTableError(f"duplicate document {path}")
+        url_table.remove(old)
+        url_table.insert(item, set(nodes))
+        if doctree.exists(old):
+            doctree.delete(old)
+        doctree.insert(item, set(nodes))
+    elif action == "route-size":
+        url_table.record(path).item.size_bytes = payload["size_bytes"]
+    else:
+        raise WalCorruption(f"unknown apply action {action!r}")
+
+
+def replay_apply(url_table: UrlTable, doctree: DocTree,
+                 action: str, payload: dict[str, Any]) -> bool:
+    """Replay one WAL ``apply`` record through :func:`apply_route`.
+
+    The idempotency guard: a record the tables already reflect, that a
+    later record made moot, or that the URL table refused when it was
+    first applied is skipped, so a WAL suffix replays onto any state it
+    has already reached.  The payload's ``item`` is decoded here.
+    Returns True when state changed; raises :class:`WalCorruption` for
+    an unknown action.
+    """
+    if action not in _ACTIONS:
+        raise WalCorruption(f"unknown apply action {action!r}")
+    path = payload["path"]
+    routed = path in url_table
+    if action == "route-add":
+        skip = (payload["node"] in url_table.locations(path) if routed
+                else payload.get("item") is None)
+    elif action == "route-drop":
+        locations = url_table.locations(path) if routed else set()
+        skip = payload["node"] not in locations or len(locations) <= 1
+    elif action == "route-remove":
+        skip = not routed
+    elif action == "route-rename":
+        skip = routed or payload["old"] not in url_table
+    else:
+        skip = (not routed or url_table.record(path).item.size_bytes
+                == payload["size_bytes"])
+    if skip:
+        return False
+    if "item" in payload:
+        payload = {**payload, "item": item_from_payload(payload["item"])}
+    apply_route(url_table, doctree, action, payload)
+    return True
 
 
 # -- configuration / crash plans --------------------------------------------
@@ -412,22 +436,36 @@ class ControllerDurability:
                 intents.pop(record.payload["op_id"], None)
         return [intents[op_id] for op_id in sorted(intents)]
 
-    def replay_state(self) -> tuple[UrlTable, DocTree]:
-        """Rebuild routing state from scratch: checkpoint + applies."""
-        table = UrlTable()
-        doctree = DocTree()
-        checkpoint, records = self.wal.replay()
-        if checkpoint is not None:
-            for row in checkpoint["records"]:
+    def replay_into(self, url_table: UrlTable, doctree: DocTree, *,
+                    checkpoint: bool = True) -> tuple[int, int, int]:
+        """Replay durable state onto ``url_table``/``doctree``.
+
+        With ``checkpoint`` the checkpoint's rows are inserted first (the
+        tables must not hold them yet); every ``apply`` record then goes
+        through :func:`replay_apply`.  Returns ``(checkpoint lsn, records
+        replayed, applies replayed)``.
+        """
+        snapshot, records = self.wal.replay()
+        if checkpoint and snapshot is not None:
+            for row in snapshot["records"]:
                 item = item_from_payload(row)
                 locations = set(row["locations"])
-                table.insert(item, locations)
+                url_table.insert(item, locations)
                 doctree.insert(item, locations)
+        applies = 0
         for record in records:
             if record.kind == "apply":
                 payload = dict(record.payload)
                 action = payload.pop("action")
-                replay_apply(table, doctree, action, payload)
+                replay_apply(url_table, doctree, action, payload)
+                applies += 1
+        lsn = snapshot["lsn"] if snapshot is not None else 0
+        return lsn, len(records), applies
+
+    def replay_state(self) -> tuple[UrlTable, DocTree]:
+        """Rebuild routing state from scratch: checkpoint + applies."""
+        table, doctree = UrlTable(), DocTree()
+        self.replay_into(table, doctree)
         return table, doctree
 
     def restore_tables(self, url_table: UrlTable, doctree: DocTree) -> int:
@@ -437,23 +475,12 @@ class ControllerDurability:
         distributor taking over).  Returns the number of records
         restored.
         """
-        replayed, replayed_tree = self.replay_state()
-        for path in [record.path for record in url_table.records()]:
-            url_table.remove(path)
-        for path in list(doctree.files()):
-            if doctree.exists(path):
-                doctree.delete(path)
-        count = 0
-        for record in replayed.records():
-            locations = set(record.locations)
-            url_table.insert(record.item, locations)
-            if doctree.exists(record.path):
-                doctree.file(record.path).locations.update(locations)
-            else:
-                doctree.insert(record.item, locations)
-            count += 1
-        del replayed_tree
-        return count
+        for record in list(url_table.records()):
+            url_table.remove(record.path)
+        for path in doctree.files():
+            doctree.delete(path)
+        self.replay_into(url_table, doctree)
+        return len(url_table)
 
     def verify_consistency(self) -> list[str]:
         """Check the live tables against a from-scratch WAL replay.
@@ -533,14 +560,6 @@ class RecoveryReport:
         }
 
 
-def _trace_resolution(controller, resolution: dict[str, Any]) -> None:
-    if controller.tracer is not None:
-        controller.tracer.point(
-            "recovery", "resolve",
-            op=resolution["op"], op_id=resolution["op_id"],
-            action=resolution["action"], reason=resolution["reason"])
-
-
 def _apply_and_log(controller, action: str,
                    payload: dict[str, Any]) -> None:
     """WAL the apply, then mutate the live tables idempotently."""
@@ -552,7 +571,6 @@ def _apply_and_log(controller, action: str,
 
 def _resolve_placement(controller, intent, timeout) -> Generator:
     """place/replicate: roll forward iff the copy materialized."""
-    from .agents import VerifyAgent
     path, node = intent["path"], intent["node"]
     routed = (path in controller.url_table
               and node in controller.url_table.locations(path))
@@ -573,7 +591,6 @@ def _resolve_placement(controller, intent, timeout) -> Generator:
 
 def _resolve_offload(controller, intent, timeout) -> Generator:
     """offload: the delete is re-driven only if routing already dropped."""
-    from .agents import DeleteAgent, VerifyAgent
     path, node = intent["path"], intent["node"]
     still_routed = (path in controller.url_table
                     and node in controller.url_table.locations(path))
@@ -595,7 +612,6 @@ def _resolve_offload(controller, intent, timeout) -> Generator:
 
 def _resolve_remove(controller, intent, timeout) -> Generator:
     """remove: always roll forward (deletes may have partially run)."""
-    from .agents import DeleteAgent, VerifyAgent
     path = intent["path"]
     for node in intent["nodes"]:
         result = yield from controller.execute(
@@ -616,7 +632,6 @@ def _resolve_remove(controller, intent, timeout) -> Generator:
 
 def _resolve_update(controller, intent, timeout) -> Generator:
     """update: re-push the new version to every current replica."""
-    from .agents import UpdateAgent
     path = intent["path"]
     if path not in controller.url_table:
         return "rolled-back", f"{path} no longer routed; update dropped"
@@ -633,7 +648,6 @@ def _resolve_update(controller, intent, timeout) -> Generator:
 
 def _resolve_rename(controller, intent, timeout) -> Generator:
     """rename: drive every node to the new name, then fix routing."""
-    from .agents import RenameAgent, VerifyAgent
     old = intent["old"]
     new_item = item_from_payload(intent["item"])
     if old not in controller.url_table \
@@ -689,23 +703,15 @@ def recover(controller, *, timeout: Optional[float] = 1.0) -> Generator:
         # pending), so probes below see settled node truth
         yield controller.sim.timeout(grace)
 
-    checkpoint, records = durability.wal.replay()
-    checkpoint_lsn = checkpoint["lsn"] if checkpoint is not None else 0
-    applies = 0
-    for record in records:
-        if record.kind == "apply":
-            payload = dict(record.payload)
-            action = payload.pop("action")
-            replay_apply(controller.url_table, controller.doctree,
-                         action, payload)
-            applies += 1
+    checkpoint_lsn, records, applies = durability.replay_into(
+        controller.url_table, controller.doctree, checkpoint=False)
     open_intents = durability.open_intents_from_wal()
     # the durable truth replaces whatever the volatile map held
     durability.open = {intent["op_id"]: intent for intent in open_intents}
     if controller.tracer is not None:
         controller.tracer.point("recovery", "replay",
                                 checkpoint_lsn=checkpoint_lsn,
-                                records=len(records), applies=applies,
+                                records=records, applies=applies,
                                 open_intents=len(open_intents))
 
     resolutions: list[dict[str, Any]] = []
@@ -719,23 +725,19 @@ def recover(controller, *, timeout: Optional[float] = 1.0) -> Generator:
         resolution = {"op_id": intent["op_id"], "op": intent["op"],
                       "action": action, "reason": reason}
         resolutions.append(resolution)
-        _trace_resolution(controller, resolution)
+        if controller.tracer is not None:
+            controller.tracer.point("recovery", "resolve", op=intent["op"],
+                                    op_id=intent["op_id"], action=action,
+                                    reason=reason)
         if action in ("rolled-forward", "already-applied"):
             durability.log_commit(intent["op_id"], resolution=action)
         elif action == "rolled-back":
             durability.log_abort(intent["op_id"], f"recovery: {reason}")
         # "deferred" leaves the intent open for the next pass
 
-    reconciled: list[str] = []
-    audit = yield from controller.audit()
-    dirty = sorted({node for _path, node in audit["missing"]}
-                   | {node for _path, node in audit["orphaned"]})
-    for node in dirty:
-        summary = yield from controller.reconcile_node(node, timeout=timeout)
-        if "error" not in summary:
-            reconciled.append(node)
-    if dirty:
-        audit = yield from controller.audit()
+    audit, summaries = yield from controller.converge(timeout)
+    reconciled = [node for node, summary in summaries.items()
+                  if "error" not in summary]
     if controller.tracer is not None:
         controller.tracer.point(
             "recovery", "audit",
@@ -746,7 +748,7 @@ def recover(controller, *, timeout: Optional[float] = 1.0) -> Generator:
     consistency = durability.verify_consistency()
     report = RecoveryReport(
         checkpoint_lsn=checkpoint_lsn,
-        records_replayed=len(records),
+        records_replayed=records,
         applies_replayed=applies,
         open_intents=len(open_intents),
         resolutions=resolutions,

@@ -168,10 +168,9 @@ class ClusterMonitor:
         if not self.re_replicate:
             return
         # restore availability for documents that lost a replica
-        url_table = self.controller.url_table
         healthy = [n for n in sorted(self.controller.brokers)
                    if n not in self._down]
-        for record in list(url_table.records()):
+        for record in list(self.controller.url_table.records()):
             if node not in record.locations:
                 continue
             survivors = record.locations - self._down
@@ -183,12 +182,8 @@ class ClusterMonitor:
             # drop the dead replica from routing state; re-replicate the
             # document onto a healthy node that lacks it
             if len(record.locations) > 1:
-                self.controller.wal_apply("route-drop",
-                                          path=record.path, node=node)
-                url_table.remove_location(record.path, node)
-                if self.controller.doctree.exists(record.path):
-                    self.controller.doctree.file(
-                        record.path).locations.discard(node)
+                self.controller.apply("route-drop", path=record.path,
+                                      node=node)
             targets = [n for n in healthy if n not in record.locations]
             if not targets:
                 continue

@@ -71,7 +71,7 @@ class TestNormalOperation:
         assert pair.state_syncs >= 1
         # later mutations also flow
         new_item = ContentItem("/site/late.html", 100, ContentType.HTML)
-        primary.register_content(new_item, {sorted(servers)[0]})
+        primary.url_table.insert(new_item, {sorted(servers)[0]})
         sim.run(until=2.0)
         assert "/site/late.html" in backup.url_table
 
@@ -130,7 +130,7 @@ class TestFailover:
         late = ContentItem("/site/critical.html", 512, ContentType.HTML)
         holder = sorted(servers)[0]
         servers[holder].place(late)
-        primary.register_content(late, {holder})
+        primary.url_table.insert(late, {holder})
         sim.run(until=1.0)       # heartbeat replicates the state
         primary.crash()
         sim.run(until=3.0)

@@ -149,17 +149,6 @@ class TestContentAwareDistributor:
         with pytest.raises(RuntimeError):
             next(iter(dist.submit(HttpRequest("/x.html"), client_nic)))
 
-    def test_management_api_updates_table(self):
-        sim, lan, specs, servers, client_nic, table, dist = self.make()
-        item = ContentItem("/m.html", 100, ContentType.HTML)
-        dist.register_content(item, {specs[0].name})
-        assert "/m.html" in table
-        dist.add_replica("/m.html", specs[1].name)
-        assert table.locations("/m.html") == {specs[0].name, specs[1].name}
-        dist.remove_replica("/m.html", specs[0].name)
-        dist.unregister_content("/m.html")
-        assert "/m.html" not in table
-
     def test_on_response_hook_fires(self):
         sim, lan, specs, servers, client_nic, table, dist = self.make(1)
         item = ContentItem("/x.html", 1024, ContentType.HTML)

@@ -18,6 +18,10 @@ testbed is wired can change without moving a simulated byte:
   crashed run is traced, and its trace (the takeover and the recovery
   that follows it) is pinned too.
 
+The chaos and overload runs also pin each controller's final URL table,
+document tree and operation log (the ``table_digests`` fixture), so the
+management plane's routing mutations cannot drift unseen.
+
 A trace digest is the sha256 of the tracer's JSONL export.
 """
 
@@ -44,9 +48,20 @@ GOLDEN_CHAOS_TRACES = [
     "c7622b087cb4c8f5de5215f3f841762ceac0e5a6e58e32f43192803ac10da398",
 ]
 
+GOLDEN_CHAOS_TABLES = [
+    "2f2ba57e379cc432f385fa53337899131a4375f960f8e7c081c1f3471207e426",
+    "4d71310caf2adbb3dc5e4c57734498b909378eac4914c36cad32f31b10dc2ca1",
+    "77bf62209a67836a54f1bfcea974e0fb44ad88dc24ae13cf97d0663983b9ead6",
+]
+
 GOLDEN_OVERLOAD = {
     1: "fc61b8f7aaa54d6c7de46cd22625c424e9fdc245da50ed1b5a6a6370a381d0aa",
     11: "67e45e5e22a78fb789e3ebce252109971b2bcc1fbfde542531acbdecf9098dac",
+}
+
+GOLDEN_OVERLOAD_TABLES = {
+    1: "e7e4a0c6bca913240aca946fe48c6283e737346d7cf2f760b8eb1ee8264b7af4",
+    11: "c289df59930da473bd1eb74290be5b06ab9555a59df95a527a341db2e0a5bec6",
 }
 
 GOLDEN_PROMOTION = {
@@ -64,7 +79,7 @@ def digest(run) -> str:
                                      default=repr).encode()).hexdigest()
 
 
-def test_chaos_episodes_are_pinned(trace_digests):
+def test_chaos_episodes_are_pinned(trace_digests, table_digests):
     runner = ChaosRunner(**CHAOS)
     results = runner.run()
     assert runner.all_survived, runner.report()
@@ -77,15 +92,17 @@ def test_chaos_episodes_are_pinned(trace_digests):
     }
     assert digest(run) == GOLDEN_CHAOS
     assert trace_digests() == GOLDEN_CHAOS_TRACES
+    assert table_digests() == GOLDEN_CHAOS_TABLES
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_OVERLOAD))
-def test_unprotected_overload_episode_is_pinned(seed):
+def test_unprotected_overload_episode_is_pinned(seed, table_digests):
     result = run_overload_episode(seed=seed, duration=3.0, enabled=False)
     assert result.completed > 0
     assert result.stuck_clients  # slow drain at this scale
     run = {"report": result.report(), "events": result.events}
     assert digest(run) == GOLDEN_OVERLOAD[seed]
+    assert table_digests() == [GOLDEN_OVERLOAD_TABLES[seed]]
 
 
 def test_promotion_episodes_are_pinned(trace_digests):

@@ -223,9 +223,7 @@ class TestControllerDurability:
         run_op(sim, controller, controller.place(doc, nodes[0]))
         run_op(sim, controller, controller.replicate(doc.path, nodes[1]))
         # simulate the monitor dropping a dead node's routes
-        controller.wal_apply("route-drop", path=doc.path, node=nodes[1])
-        controller.url_table.remove_location(doc.path, nodes[1])
-        controller.doctree.file(doc.path).locations.discard(nodes[1])
+        controller.apply("route-drop", path=doc.path, node=nodes[1])
         assert durability.verify_consistency() == []
 
     def test_take_checkpoint_requires_attachment(self):
