@@ -11,8 +11,9 @@ was held on entry to it (the class of bug PRs 1-3 each fixed once).
 Rules
 -----
 LEAK001   connection/CPU/NIC lease (``acquire``/``try_acquire``/
-          ``request``/``acquire_backend``) without a paired ``release``
-          on some path.
+          ``request``/``lease``/``acquire_backend``) without a paired
+          ``release`` (or, for one given up mid-wait, ``withdraw``) on
+          some path.
 LEAK002   mapping-table entry (``create``) neither aborted/deleted nor
           handed off on some path.
 LEAK003   admission slot (``admission.admit``) without a paired
@@ -63,9 +64,9 @@ class ResourceSpec:
 
 RESOURCES: tuple[ResourceSpec, ...] = (
     ResourceSpec("LEAK001", "lease",
-                 acquires=("acquire", "try_acquire", "request",
+                 acquires=("acquire", "try_acquire", "request", "lease",
                            "acquire_backend"),
-                 releases=("release", "release_backend")),
+                 releases=("release", "release_backend", "withdraw")),
     ResourceSpec("LEAK002", "mapping entry",
                  acquires=("create",),
                  releases=("abort", "delete"),
@@ -133,9 +134,10 @@ def _find_acquires(stmt: ast.AST) -> list[tuple[int, str, str, int]]:
         value = getattr(stmt, "value", None)
     if value is None:
         return []
-    # the generic ``request`` name only counts when yielded -- the
-    # Resource protocol is ``req = yield r.request()``; plain calls
-    # named "request" elsewhere (HTTP factories) are unrelated
+    # the generic ``request`` name only counts when yielded -- the raw
+    # Resource protocol is ``req = yield r.request()`` (process code
+    # uses ``yield from r.lease()``); plain calls named "request"
+    # elsewhere (HTTP factories) are unrelated
     yielded: set[int] = set()
     for sub in walk_scoped(value):
         if isinstance(sub, (ast.Yield, ast.YieldFrom, ast.Await)) and \

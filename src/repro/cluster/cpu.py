@@ -59,7 +59,7 @@ class Cpu:
                 ks.on_fast_path("cpu", False)
             # Grant-and-hold: the grant event fires once, at the end
             # of the burst (see Resource.request).
-            req = yield core.request(hold=duration)
+            req = yield from core.lease(hold=duration)
             core.release(req)
         self.busy_seconds += duration
         self.bursts += 1

@@ -64,7 +64,7 @@ class Disk:
                     ks.on_fast_path("disk", False)
                 # Grant-and-hold: one event for grant *and* service (see
                 # Resource.request).
-                req = yield arm.request(hold=duration)
+                req = yield from arm.lease(hold=duration)
                 arm.release(req)
         else:
             if ks is not None:
@@ -72,7 +72,7 @@ class Disk:
             # Degraded disk: keep the exact two-event interleaving so
             # the disk-slowdown chaos fault stays event-accurate (the
             # hold timer is still pooled).
-            req = yield arm.request()
+            req = yield from arm.lease()
             try:
                 yield self.sim.hot_timeout(duration)
             finally:

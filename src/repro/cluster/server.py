@@ -170,7 +170,7 @@ class BackendServer:
                     self.active_requests -= 1
         slot = self.workers.try_acquire()
         if slot is None:
-            slot = yield self.workers.request()
+            slot = yield from self.workers.lease()
         try:
             factor = self._cpu_cost_factor()
             if item is None:

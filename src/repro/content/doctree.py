@@ -10,29 +10,56 @@ This module is that view's data structure.  Every file node records *which
 backend nodes currently hold a copy*; directory operations cascade to their
 subtrees.  The management console (:mod:`repro.mgmt.console`) wraps this with
 the operations that also propagate changes to brokers and the URL table.
+
+A file's location set is a shared, immutable *replica set*
+(:func:`replica_set`): every document held by the same nodes -- in this
+tree, the URL table and a placement plan alike -- holds the same
+``frozenset``, so a fully replicated site keeps one set, not one per
+document.  A replica change assigns the set for the new value; nothing
+mutates a replica set in place.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator
 
 from .model import ContentItem
 
-__all__ = ["DocTree", "FileNode", "DirectoryNode", "DocTreeError"]
+__all__ = ["DocTree", "FileNode", "DirectoryNode", "DocTreeError",
+           "replica_set"]
 
 
 class DocTreeError(Exception):
     """An invalid document-tree operation (missing path, duplicate, ...)."""
 
 
+#: the intern table behind :func:`replica_set`: one entry per distinct
+#: set of node names ever built -- a few dozen for the §5.1 testbed's
+#: placements, at most 2**N for N nodes
+_REPLICA_SETS: dict[frozenset[str], frozenset[str]] = {}
+
+
+def replica_set(nodes: Iterable[str]) -> frozenset[str]:
+    """The one shared ``frozenset`` of ``nodes``.
+
+    Equal sets of node names come back as the same object, so the
+    location bookkeeping costs one set per distinct replica set instead
+    of one per document.  Interning is invisible to every reader:
+    membership, ``len``, ``sorted()`` and set algebra see the same
+    values, and a replica set is never mutated.
+    """
+    key = frozenset(nodes)
+    return _REPLICA_SETS.setdefault(key, key)
+
+
 class FileNode:
-    """A leaf: one content item plus the set of backends holding copies."""
+    """A leaf: one content item plus the replica set holding copies."""
 
     __slots__ = ("item", "locations")
 
-    def __init__(self, item: ContentItem, locations: Optional[set[str]] = None):
+    def __init__(self, item: ContentItem, locations: Iterable[str] = ()):
         self.item = item
-        self.locations: set[str] = set(locations or ())
+        self.locations: frozenset[str] = replica_set(locations)
 
     @property
     def replicated(self) -> bool:
@@ -101,7 +128,7 @@ class DocTree:
 
     # -- mutation -----------------------------------------------------------
     def insert(self, item: ContentItem,
-               locations: Optional[set[str]] = None) -> FileNode:
+               locations: Iterable[str] = ()) -> FileNode:
         """Insert a file at ``item.path``, creating parent directories."""
         segs = _split(item.path)
         if not segs:

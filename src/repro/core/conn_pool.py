@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Optional
+from typing import Any, Generator, Optional
 
-from ..sim import SimEvent, Simulator, Store
+from ..sim import Interrupt, SimEvent, Simulator, Store
 
 __all__ = ["PooledConnection", "ConnectionPool", "PoolManager"]
 
@@ -116,6 +116,21 @@ class ConnectionPool:
         ev.add_callback(self._mark_busy)
         return ev
 
+    def lease(self) -> Generator[SimEvent, Any, PooledConnection]:
+        """Wait for a connection and return it; use ``yield from``.
+
+        The process-code form of ``yield pool.acquire()``: an interrupt
+        thrown while the caller waits withdraws the acquire (see
+        :meth:`withdraw`) before it propagates, so no connection is ever
+        leased to a caller that is gone.
+        """
+        event = self.acquire()
+        try:
+            return (yield event)
+        except Interrupt:
+            self.withdraw(event)
+            raise
+
     def try_acquire(self) -> Optional[PooledConnection]:
         """Synchronously take an idle connection, or ``None`` if the caller
         would have to wait for a release.
@@ -143,6 +158,25 @@ class ConnectionPool:
         conn.uses += 1
         self._leased[conn.conn_id] = conn
         return conn
+
+    def withdraw(self, event: SimEvent) -> None:
+        """Give up an :meth:`acquire` whose caller stopped waiting for it
+        (an interrupt thrown at its ``yield``; :meth:`lease` calls this).
+
+        A queued acquirer leaves the queue.  A connection already handed
+        over goes back to the available list, or to the next waiter: at
+        once if the hand-over has fired, else as soon as it fires.
+        """
+        if not event.triggered:
+            self._idle.cancel_get(event)
+            self.waiting -= 1
+        elif event.callbacks is None:
+            self.release(event.value)
+        else:
+            event.add_callback(self._release_handed_over)
+
+    def _release_handed_over(self, event: SimEvent) -> None:
+        self.release(event.value)
 
     def _waiter_served(self, event: SimEvent) -> None:
         self.waiting -= 1

@@ -137,7 +137,7 @@ class ContentAwareDistributor(Frontend):
         pool = self.pools.pool(backend)
         conn = pool.try_acquire()
         if conn is None:
-            conn = yield pool.acquire()
+            conn = yield from pool.lease()
         return conn
 
     def release_backend(self, backend: str, token) -> None:

@@ -32,7 +32,7 @@ import dataclasses
 from collections import deque
 from typing import Callable, Generator, Optional
 
-from ..sim import SimEvent, Simulator
+from ..sim import Interrupt, SimEvent, Simulator
 
 __all__ = ["OverloadConfig", "AdmissionController", "BREAKER_TRANSITIONS",
            "CircuitBreaker", "BreakerBoard", "RetryBudget", "RequestTimeout",
@@ -168,7 +168,16 @@ class AdmissionController:
         slot = SimEvent(self.sim)
         self._waiters.append(slot)
         self.peak_queue = max(self.peak_queue, len(self._waiters))
-        yield slot
+        try:
+            yield slot
+        except Interrupt:
+            # withdraw: a queued waiter leaves the queue, and one already
+            # handed a slot passes it on, so no slot goes to a dead waiter
+            if slot.triggered:
+                self.release()
+            else:
+                self._waiters.remove(slot)
+            raise
         return True
 
     def _grant(self) -> None:

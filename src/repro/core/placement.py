@@ -15,7 +15,10 @@ cluster instead of the two traditional schemes:
 
 A :class:`PlacementPlan` is pure data (path -> set of node names) so it can
 be inspected, diffed, and tested without a simulator; ``apply_plan`` loads
-it into real backend stores, a URL table, and a document tree.
+it into real backend stores, a URL table, and a document tree.  A plan's
+location sets are the shared replica sets of :func:`repro.content.replica_set`
+(one object per distinct set), and ``apply_plan`` hands the same objects to
+the URL table and the document tree.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from ..cluster import BackendServer, NfsServer, NodeSpec
-from ..content import ContentItem, ContentType, DocTree, Priority, SiteCatalog
+from ..content import (ContentItem, ContentType, DocTree, Priority,
+                       SiteCatalog, replica_set)
 from .url_table import UrlTable
 
 __all__ = ["PlacementPlan", "full_replication", "shared_nfs",
@@ -38,7 +42,8 @@ __all__ = ["PlacementPlan", "full_replication", "shared_nfs",
 class PlacementPlan:
     """Which nodes hold a copy of each document."""
 
-    locations: dict[str, set[str]]
+    #: path -> shared replica set (assigned on change, never mutated)
+    locations: dict[str, frozenset[str]]
     uses_nfs: bool = False
 
     def nodes_for(self, path: str) -> set[str]:
@@ -54,7 +59,7 @@ class PlacementPlan:
         return sum(catalog.get(p).size_bytes for p in self.paths_on(node))
 
     def add_replica(self, path: str, node: str) -> None:
-        self.locations[path].add(node)
+        self.locations[path] = replica_set(self.locations[path] | {node})
 
     def validate(self, catalog: SiteCatalog,
                  node_names: Iterable[str]) -> None:
@@ -79,7 +84,7 @@ class PlacementPlan:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PlacementPlan":
         return cls(
-            locations={path: set(nodes)
+            locations={path: replica_set(nodes)
                        for path, nodes in data["locations"].items()},
             uses_nfs=bool(data.get("uses_nfs", False)))
 
@@ -97,10 +102,10 @@ class PlacementPlan:
         """What changes when moving from this plan to ``other``: per-path
         (added_nodes, removed_nodes).  The management console can turn a
         diff directly into replicate/offload operations."""
-        changes: dict[str, tuple[set[str], set[str]]] = {}
+        changes: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
         for path in sorted(set(self.locations) | set(other.locations)):
-            before = self.locations.get(path, set())
-            after = other.locations.get(path, set())
+            before = self.locations.get(path, frozenset())
+            after = other.locations.get(path, frozenset())
             if before != after:
                 changes[path] = (after - before, before - after)
         return changes
@@ -111,9 +116,9 @@ def full_replication(catalog: SiteCatalog,
     """Configuration 1: the entire document set on every node."""
     if not node_names:
         raise ValueError("need at least one node")
-    all_nodes = set(node_names)
+    all_nodes = replica_set(node_names)
     return PlacementPlan(
-        locations={item.path: set(all_nodes) for item in catalog})
+        locations={item.path: all_nodes for item in catalog})
 
 
 def shared_nfs(catalog: SiteCatalog,
@@ -123,25 +128,26 @@ def shared_nfs(catalog: SiteCatalog,
     the whole cluster while local stores stay empty."""
     if not node_names:
         raise ValueError("need at least one node")
-    all_nodes = set(node_names)
+    all_nodes = replica_set(node_names)
     return PlacementPlan(
-        locations={item.path: set(all_nodes) for item in catalog},
+        locations={item.path: all_nodes for item in catalog},
         uses_nfs=True)
 
 
 def _weighted_spread(items: Sequence[ContentItem],
-                     nodes: Sequence[NodeSpec]) -> dict[str, set[str]]:
+                     nodes: Sequence[NodeSpec]) -> dict[str, frozenset[str]]:
     """Deterministic weighted assignment: each item goes to the eligible
     node with the least assigned load per unit weight (size-aware, so one
     node does not accumulate all the big files)."""
     load = {n.name: 0.0 for n in nodes}
     weight = {n.name: n.weight for n in nodes}
-    out: dict[str, set[str]] = {}
+    alone = {n.name: replica_set((n.name,)) for n in nodes}
+    out: dict[str, frozenset[str]] = {}
     for item in sorted(items, key=lambda i: (-i.size_bytes, i.path)):
         target = min(load, key=lambda n: (load[n] / weight[n], n))
         # 1 unit of expected request cost + bytes as a tiebreaker proxy
         load[target] += 1.0 + item.size_bytes / (256 * 1024)
-        out[item.path] = {target}
+        out[item.path] = alone[target]
     return out
 
 
@@ -176,7 +182,7 @@ def partition_by_type(catalog: SiteCatalog,
     plain = [i for i in catalog.static_items()
              if i.path not in multimedia_paths]
 
-    locations: dict[str, set[str]] = {}
+    locations: dict[str, frozenset[str]] = {}
     if dynamic_items:
         locations.update(_weighted_spread(dynamic_items, fast_cpu))
         static_pool = slower or specs
@@ -235,7 +241,7 @@ def partition_by_priority(catalog: SiteCatalog,
     low = [i for i in catalog if i.priority is Priority.LOW]
     normal = [i for i in catalog if i.priority is Priority.NORMAL]
 
-    locations: dict[str, set[str]] = {}
+    locations: dict[str, frozenset[str]] = {}
     locations.update(_weighted_spread(normal, list(specs)))
     locations.update(_weighted_spread(low, weak))
     locations.update(_weighted_spread(critical, powerful))
@@ -256,8 +262,8 @@ def partition_by_priority(catalog: SiteCatalog,
         if bad:
             keep = plan.locations[item.path] & fast_names
             if not keep:
-                keep = {_weighted_spread([item], fast_cpu)[item.path].pop()}
-            plan.locations[item.path] = keep
+                keep = _weighted_spread([item], fast_cpu)[item.path]
+            plan.locations[item.path] = replica_set(keep)
     return plan
 
 
@@ -295,6 +301,6 @@ def apply_plan(plan: PlacementPlan, catalog: SiteCatalog,
                 # dynamic content is installed (scripts), static is copied;
                 # both occupy the node's store
                 servers[node].place(item)
-        url_table.insert(item, set(nodes))
-        doctree.insert(item, set(nodes))
+        url_table.insert(item, nodes)
+        doctree.insert(item, nodes)
     return url_table, doctree

@@ -15,15 +15,23 @@ This module reproduces that structure exactly: a tree of per-directory hash
 tables, one level per path segment, with an LRU cache of recently resolved
 full URLs in front of it, plus an analytic memory-footprint estimator that
 the §5.2 benchmark reports.
+
+A record's ``locations`` is a shared, immutable replica set
+(:func:`repro.content.replica_set`): records of documents held by the
+same nodes hold the same ``frozenset``, shared with the document tree
+and the placement plan, so the Python-side table stays close to the
+paper's per-object cost.  :meth:`UrlTable.add_location` and
+:meth:`UrlTable.remove_location` assign the set for the new value;
+nothing mutates a record's set in place.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Iterator, Optional
+from typing import Iterable, Iterator
 
-from ..content import ContentItem, Priority
+from ..content import ContentItem, Priority, replica_set
 from ..net.http import split_path
 
 __all__ = ["UrlRecord", "UrlTable", "UrlTableError"]
@@ -38,7 +46,8 @@ class UrlRecord:
     """One content entry: everything the distributor needs per document."""
 
     item: ContentItem
-    locations: set[str]
+    #: the shared replica set (assigned on change, never mutated)
+    locations: frozenset[str]
     hits: int = 0
 
     @property
@@ -91,9 +100,10 @@ class UrlTable:
             return False
 
     # -- mutation --------------------------------------------------------
-    def insert(self, item: ContentItem, locations: set[str]) -> UrlRecord:
+    def insert(self, item: ContentItem, locations: Iterable[str]) -> UrlRecord:
         """Register a document and the nodes holding it."""
-        if not locations:
+        nodes = replica_set(locations)
+        if not nodes:
             raise UrlTableError(f"{item.path}: a document needs >=1 location")
         segments = split_path(item.path)
         if not segments:
@@ -111,7 +121,7 @@ class UrlTable:
         leaf = segments[-1]
         if leaf in level.children:
             raise UrlTableError(f"duplicate document {item.path}")
-        record = UrlRecord(item=item, locations=set(locations))
+        record = UrlRecord(item=item, locations=nodes)
         level.children[leaf] = record
         self._count += 1
         self.version += 1
@@ -150,7 +160,7 @@ class UrlTable:
     def add_location(self, url: str, node: str) -> UrlRecord:
         """Record a new replica (after the controller copies content)."""
         record = self._find(split_path(url))
-        record.locations.add(node)
+        record.locations = replica_set(record.locations | {node})
         self.version += 1
         return record
 
@@ -162,7 +172,7 @@ class UrlTable:
         if len(record.locations) == 1:
             raise UrlTableError(
                 f"{url}: refusing to remove the last copy (on {node})")
-        record.locations.discard(node)
+        record.locations = replica_set(record.locations - {node})
         self.version += 1
         return record
 
@@ -249,7 +259,7 @@ class UrlTable:
         self._count = 0
         self._cache.clear()
         for record in other.records():
-            self.insert(record.item, set(record.locations))
+            self.insert(record.item, record.locations)
         self.version = other.version
         return True
 

@@ -14,11 +14,11 @@ The three configurations of §5.3:
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Iterable, Optional
 
-from ..cluster import (BackendServer, NfsServer, NodeSpec, distributor_spec,
-                       paper_testbed_specs)
-from ..content import DocTree, SiteCatalog, generate_catalog
+from ..cluster import (BackendServer, LruCache, NfsServer, NodeSpec,
+                       distributor_spec, paper_testbed_specs)
+from ..content import ContentItem, DocTree, SiteCatalog, generate_catalog
 from ..core import (ContentAwareDistributor, Frontend, L4Router, LardRouter,
                     OverloadConfig, UrlTable, apply_plan, full_replication,
                     partition_by_type, shared_nfs)
@@ -176,24 +176,26 @@ def _prewarm_caches(catalog: SiteCatalog,
     with local content caches its own shard's hot set; in the NFS
     configuration (empty local stores) every node caches the site-wide hot
     set, as it would after serving the mixed stream for a while.
+
+    The static catalog is sorted once; each cache walks that order over
+    the items it may hold and stops at the first that does not fit.
     """
-    site_hot = sorted((i for i in catalog.static_items()),
+    site_hot = sorted(catalog.static_items(),
                       key=lambda i: (i.size_bytes, i.path))
     for server in servers.values():
         # only locally held content is cacheable (NFS reads serve through)
-        items = sorted((i for i in server.store if i.ctype.is_static),
-                       key=lambda i: (i.size_bytes, i.path))
-        cache = server.cache
-        for item in items:
-            if cache.used_bytes + item.size_bytes > cache.capacity_bytes:
-                break
-            cache.admit(item.path, item.size_bytes)
+        store = server.store
+        _fill(server.cache, (i for i in site_hot if i.path in store))
     if nfs is not None:
-        for item in site_hot:
-            if nfs.cache.used_bytes + item.size_bytes > \
-                    nfs.cache.capacity_bytes:
-                break
-            nfs.cache.admit(item.path, item.size_bytes)
+        _fill(nfs.cache, site_hot)
+
+
+def _fill(cache: LruCache, items: Iterable[ContentItem]) -> None:
+    """Admit ``items`` in order until the first one that does not fit."""
+    for item in items:
+        if cache.used_bytes + item.size_bytes > cache.capacity_bytes:
+            break
+        cache.admit(item.path, item.size_bytes)
 
 
 def build_deployment(config: ExperimentConfig) -> Deployment:

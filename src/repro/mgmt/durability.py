@@ -51,7 +51,7 @@ import hashlib
 import json
 from typing import Any, Generator, Optional
 
-from ..content import ContentItem, ContentType, DocTree, Priority
+from ..content import ContentItem, ContentType, DocTree, Priority, replica_set
 from ..core.url_table import UrlTable, UrlTableError
 from .agents import DeleteAgent, RenameAgent, UpdateAgent, VerifyAgent
 
@@ -211,7 +211,8 @@ def apply_route(url_table: UrlTable, doctree: DocTree,
 
     A mutation the URL table refuses -- an unknown path, the last copy, a
     routed rename target -- raises :class:`UrlTableError` and changes
-    neither table.
+    neither table.  Location sets are shared replica sets: each change
+    assigns the set for the new value and copies nothing.
     """
     path = payload["path"]
     if action == "route-add":
@@ -219,14 +220,17 @@ def apply_route(url_table: UrlTable, doctree: DocTree,
         if item is None or path in url_table:
             url_table.add_location(path, node)
             if doctree.exists(path):
-                doctree.file(path).locations.add(node)
+                file = doctree.file(path)
+                file.locations = replica_set(file.locations | {node})
         else:
-            url_table.insert(item, {node})
-            doctree.insert(item, {node})
+            url_table.insert(item, (node,))
+            doctree.insert(item, (node,))
     elif action == "route-drop":
-        url_table.remove_location(path, payload["node"])
+        node = payload["node"]
+        url_table.remove_location(path, node)
         if doctree.exists(path):
-            doctree.file(path).locations.discard(payload["node"])
+            file = doctree.file(path)
+            file.locations = replica_set(file.locations - {node})
     elif action == "route-remove":
         url_table.remove(path)
         if doctree.exists(path):
@@ -236,10 +240,10 @@ def apply_route(url_table: UrlTable, doctree: DocTree,
         if path in url_table:
             raise UrlTableError(f"duplicate document {path}")
         url_table.remove(old)
-        url_table.insert(item, set(nodes))
+        url_table.insert(item, nodes)
         if doctree.exists(old):
             doctree.delete(old)
-        doctree.insert(item, set(nodes))
+        doctree.insert(item, nodes)
     elif action == "route-size":
         url_table.record(path).item.size_bytes = payload["size_bytes"]
     else:
@@ -449,7 +453,7 @@ class ControllerDurability:
         if checkpoint and snapshot is not None:
             for row in snapshot["records"]:
                 item = item_from_payload(row)
-                locations = set(row["locations"])
+                locations = replica_set(row["locations"])
                 url_table.insert(item, locations)
                 doctree.insert(item, locations)
         applies = 0

@@ -169,7 +169,7 @@ class Lan:
                 tx_sync = False
                 if ks is not None:
                     ks.on_fast_path("lan", False)
-                tx_req = yield src.tx.request()
+                tx_req = yield from src.tx.lease()
             try:
                 rx_req = dst.rx.try_acquire()
                 if rx_req is not None:
@@ -188,7 +188,7 @@ class Lan:
                         ks.on_fast_path("lan", False)
                     # Busy receiver: grant-and-hold -- the RX grant event
                     # fires once, when the hold expires (Resource.request)
-                    rx_req = yield dst.rx.request(hold=duration)
+                    rx_req = yield from dst.rx.lease(hold=duration)
                     dst.rx.release(rx_req)
             finally:
                 src.tx.release(tx_req)
@@ -210,11 +210,11 @@ class Lan:
                self._loss_rng.random() < self.loss_rate):
             self.retransmissions += 1
             yield self.sim.timeout(self.retransmit_delay)
-        tx_req = yield src.tx.request()
+        tx_req = yield from src.tx.lease()
         try:
             # the RX wait is interruptible: TX must not leak if this
             # transfer is torn down while queued for the receiver
-            rx_req = yield dst.rx.request()
+            rx_req = yield from dst.rx.lease()
             try:
                 yield self.sim.timeout(self.transfer_time(src, dst, nbytes)
                                        + self.extra_latency)

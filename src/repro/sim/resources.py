@@ -2,7 +2,7 @@
 
 ``Resource``
     A counted resource (server slots, disk arms, NIC channels).  Processes
-    ``yield resource.request()`` to acquire a unit and call
+    ``req = yield from resource.lease()`` to acquire a unit and call
     ``resource.release(req)`` when done.  FIFO service order.
 ``Store``
     An unbounded (or bounded) FIFO buffer of Python objects with blocking
@@ -14,9 +14,9 @@ total waits, utilization integrals).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Generator, Optional
 
-from .engine import SimEvent, Simulator, Timeout
+from .engine import Interrupt, SimEvent, Simulator, Timeout
 from .engine import _PENDING
 
 __all__ = ["Request", "Resource", "Store", "SEGMENT_SPLIT"]
@@ -146,6 +146,24 @@ class Resource:
         self._grant()
         return req
 
+    def lease(self, hold: Optional[float] = None
+              ) -> Generator[Request, Any, Request]:
+        """Wait for one unit and return its request; use ``yield from``.
+
+        The process-code form of ``yield resource.request(hold)``: an
+        interrupt thrown while the owner waits withdraws the request
+        (see :meth:`withdraw`) before it propagates, so a torn-down
+        waiter neither strands its queue slot nor keeps a unit it never
+        sees.
+        """
+        req = self.request(hold)
+        try:
+            yield req
+        except Interrupt:
+            self.withdraw(req)
+            raise
+        return req
+
     @property
     def can_acquire(self) -> bool:
         """True when a unit would be granted *right now* without queueing."""
@@ -156,7 +174,7 @@ class Resource:
 
         Returns the granted :class:`Request` (pass it to :meth:`release`),
         or ``None`` when the caller would have to queue -- callers fall back
-        to ``yield resource.request()`` in that case.
+        to ``yield from resource.lease()`` in that case.
 
         This is the kernel fast path's contention check.  Because
         :meth:`request` also grants synchronously inside ``_grant`` (only
@@ -253,6 +271,24 @@ class Resource:
         if type(request) is Request:
             # The handle is dead past this point by contract; recycle it.
             self._req_pool.append(request)
+
+    def withdraw(self, request: Request) -> None:
+        """Give up ``request`` for an owner that stopped waiting for it
+        (an :class:`~repro.sim.engine.Interrupt` thrown at its
+        ``yield``; :meth:`lease` calls this).
+
+        A queued request leaves the queue.  A granted one is released at
+        once; if its grant event has not fired yet, it is first taken
+        off the calendar, because :meth:`release` recycles the handle.
+        """
+        if request.granted_at is None:
+            request.cancel()
+            return
+        if request.callbacks is not None:
+            hold = request.hold
+            self.sim._cancel_scheduled(
+                request, request.granted_at + (0.0 if hold is None else hold))
+        self.release(request)
 
     def _select_next(self) -> Optional[Request]:
         for req in self.queue:

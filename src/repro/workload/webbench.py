@@ -134,10 +134,12 @@ class WebBenchClient:
         """End the client loop.
 
         Between requests the loop is interrupted at once.  A request in
-        flight is not: an interrupt thrown into the front end's submit
-        chain could strand a queued resource request.  It finishes at the
-        front end instead, goes unrecorded, and the loop exits when it
-        returns.
+        flight is not: it finishes at the front end instead, goes
+        unrecorded, and the loop exits when it returns.  An interrupt
+        would reach it as a client reset in mid-splice -- the front end
+        aborts the mapping entry and gives up the request's CPU, NIC,
+        disk and pool waits early -- which simulates a different run from
+        a client that only stops sending.
         """
         if not self.process.is_alive:
             return

@@ -112,3 +112,59 @@ class TestDisk:
         sim.process(go(scsi, "scsi"))
         sim.run()
         assert finish["scsi"] < finish["ide"]
+
+
+class TestInterruptedWait:
+    """A burst or a read interrupted while it waits gives its unit up."""
+
+    def test_cpu_burst_interrupted_after_its_grant_frees_the_core(self, sim):
+        cpu = Cpu(sim, 350)
+        done = []
+
+        def burst(tag, delay=0.0):
+            yield sim.timeout(delay)
+            yield from cpu.run(0.010)
+            done.append((tag, sim.now))
+
+        sim.process(burst("first"))
+        # queued behind the first burst; its grant-and-hold is granted at
+        # 10 ms and would fire at 20 ms
+        victim = sim.process(burst("victim"))
+
+        def killer():
+            yield sim.timeout(0.015)
+            victim.interrupt("torn down")
+
+        sim.process(killer())
+        sim.process(burst("after", delay=0.016))
+        sim.run()
+        assert done == [("first", pytest.approx(0.010)),
+                        ("after", pytest.approx(0.026))]
+        assert cpu._core.users == [] and cpu._core.queue == []
+        assert cpu.bursts == 2
+
+    @pytest.mark.parametrize("slowdown", [1.0, 2.0])
+    def test_queued_read_interrupted_leaves_the_arm_queue(self, sim,
+                                                         slowdown):
+        disk = Disk(sim, SCSI_DISK_8GB)
+        disk.slowdown = slowdown
+        done = []
+
+        def read(tag, delay=0.0):
+            yield sim.timeout(delay)
+            yield from disk.read(1024 * 1024)
+            done.append(tag)
+
+        sim.process(read("first"))
+        victim = sim.process(read("victim"))
+
+        def killer():
+            yield sim.timeout(0.001)
+            victim.interrupt("torn down")
+
+        sim.process(killer())
+        sim.process(read("after", delay=0.002))
+        sim.run()
+        assert done == ["first", "after"]
+        assert disk._arm.users == [] and disk._arm.queue == []
+        assert disk.reads == 2

@@ -162,6 +162,34 @@ class TestInterference:
         sim.run()
         assert server.workers.peak_queue_len >= 1  # some had to wait
 
+    def test_interrupted_serve_leaves_the_worker_queue(self, sim, lan):
+        """A serve torn down while it waits for a worker slot withdraws:
+        the slot goes to the next serve, not to the dead one."""
+        spec = NodeSpec("tiny", 350, 128, SCSI_DISK_8GB, max_workers=1)
+        server = BackendServer(sim, lan, spec)
+        cgi = ContentItem("/cgi-bin/slow.cgi", 1024, ContentType.CGI,
+                          cpu_work=0.050)
+        server.place(cgi)
+        served = []
+
+        def submit(tag, delay=0.0):
+            yield sim.timeout(delay)
+            yield from server.serve(HttpRequest(cgi.path), cgi)
+            served.append(tag)
+
+        sim.process(submit("first"))
+        victim = sim.process(submit("victim"))
+
+        def killer():
+            yield sim.timeout(0.001)
+            victim.interrupt("torn down")
+
+        sim.process(killer())
+        sim.process(submit("after", delay=0.002))
+        sim.run()
+        assert served == ["first", "after"]
+        assert server.workers.users == [] and server.workers.queue == []
+
 
 class TestNfsPath:
     def make_nfs(self, sim, lan):

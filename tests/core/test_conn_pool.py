@@ -138,3 +138,62 @@ class TestPoolManager:
         mgr.pool("b")
         assert set(mgr.pools()) == {"a", "b"}
         assert mgr.total_connections() == 2
+
+
+def test_interrupted_acquirer_leaves_the_pool_queue():
+    """A request torn down while it waits for a pooled connection
+    withdraws: the next release serves the next acquirer, not the dead
+    one, and nothing stays leased."""
+    from repro.cluster import BackendServer, distributor_spec
+    from repro.cluster import paper_testbed_specs
+    from repro.core import ContentAwareDistributor, UrlTable
+    from repro.net import Lan
+
+    sim = Simulator()
+    lan = Lan(sim)
+    spec = paper_testbed_specs()[0]
+    servers = {spec.name: BackendServer(sim, lan, spec)}
+    dist = ContentAwareDistributor(sim, lan, distributor_spec(), servers,
+                                   UrlTable(), prefork=1, max_pool_size=1)
+    backend = spec.name
+    pool = dist.pools.pool(backend)
+    held = pool.try_acquire()
+    got = []
+
+    def acquirer():
+        conn = yield from dist.acquire_backend(backend)
+        got.append(conn)
+
+    victim = sim.process(acquirer())
+
+    def scenario():
+        yield sim.timeout(0.1)
+        victim.interrupt("client gone")
+        yield sim.timeout(0.1)
+        dist.release_backend(backend, held)
+        yield sim.timeout(0.1)
+        sim.process(acquirer())
+
+    sim.process(scenario())
+    sim.run()
+    assert got == [held]
+    assert pool.leased_count == 1 and pool.idle_count == 0
+    assert pool.waiting == 0
+    dist.release_backend(backend, held)
+    assert pool.leased_count == 0 and pool.idle_count == 1
+
+
+def test_withdraw_after_hand_over_returns_the_connection(sim):
+    """An acquirer interrupted in the instant a release handed it a
+    connection gives that connection back as soon as the hand-over
+    fires."""
+    pool = ConnectionPool(sim, "b", prefork=1)
+    held = pool.try_acquire()
+    event = pool.acquire()
+    pool.release(held)            # hands ``held`` to the waiting event
+    assert event.triggered and event.callbacks is not None
+    pool.withdraw(event)
+    sim.run()
+    assert pool.leased_count == 0 and pool.idle_count == 1
+    assert pool.waiting == 0
+    assert pool.released == pool.acquired == 2

@@ -164,6 +164,35 @@ class TestAdmissionController:
         sim.run()
         assert order == ["a", "b", "c", "d"]
 
+    def test_interrupted_waiter_leaves_the_queue(self):
+        """A request torn down while queued for admission withdraws: the
+        freed slot goes to the next request, not to the dead one."""
+        sim = Simulator()
+        adm = AdmissionController(
+            sim, OverloadConfig(max_inflight=1, max_queue=2))
+        admitted = []
+
+        def one(tag, delay=0.0):
+            yield sim.timeout(delay)
+            yield from adm.admit()
+            admitted.append(tag)
+            yield sim.timeout(0.5)
+            adm.release()
+
+        sim.process(one("first"))
+        victim = sim.process(one("victim"))
+
+        def killer():
+            yield sim.timeout(0.1)
+            victim.interrupt("client gone")
+
+        sim.process(killer())
+        sim.process(one("after", delay=0.6))
+        sim.run()
+        assert admitted == ["first", "after"]
+        assert adm.inflight == 0 and adm.queued == 0
+        assert adm.admitted == adm.released == 2
+
     def test_release_without_admit_raises(self):
         sim = Simulator()
         adm = AdmissionController(sim, OverloadConfig())

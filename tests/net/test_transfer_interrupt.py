@@ -38,3 +38,27 @@ def test_normal_transfer_still_pairs_both_channels():
     sim.run()
     assert src.tx.can_acquire and dst.rx.can_acquire
     assert lan.total_transfers == 1
+
+
+def test_interrupted_queued_transfer_leaves_the_nic_queue():
+    """A transfer interrupted while queued behind another for the same
+    sender's TX channel withdraws its request: the channel goes to the
+    next transfer instead of to the dead one, for ever."""
+    sim = Simulator()
+    lan = Lan(sim)
+    src = Nic(sim, 100, name="src")
+    a = Nic(sim, 100, name="a")
+    b = Nic(sim, 100, name="b")
+    sim.process(lan.transfer(src, a, 100_000))    # holds src.tx
+    queued = sim.process(lan.transfer(src, b, 100_000))
+    later = sim.process(lan.transfer(src, b, 8192))
+
+    def killer():
+        yield sim.timeout(0.001)
+        queued.interrupt("client gone")
+
+    sim.process(killer())
+    sim.run()
+    assert not later.is_alive
+    assert src.tx.users == [] and src.tx.queue == []
+    assert lan.total_transfers == 2
